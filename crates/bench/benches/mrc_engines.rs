@@ -66,7 +66,6 @@ fn detailed_simulation(rep: &mut JsonReport) {
         rep.record(
             format!("mrc_vs_detailed/{name}"),
             median,
-            1,
             Some(cycles.get()),
         );
     }
@@ -80,7 +79,6 @@ fn detailed_simulation(rep: &mut JsonReport) {
         rep.record(
             "mrc_vs_detailed/functional_replay_5_capacities",
             median,
-            1,
             None,
         );
     }
@@ -96,14 +94,14 @@ fn stack_engines(rep: &mut JsonReport) {
         e.record_all(lines.iter().copied());
         e.finish()
     }) {
-        rep.record("stack_distance/tree_exact", median, 1, None);
+        rep.record("stack_distance/tree_exact", median, None);
     }
     if let Some(median) = g.bench("shards_10pct", || {
         let mut e = ShardsStack::new(0.1);
         e.record_all(lines.iter().copied());
         e.finish()
     }) {
-        rep.record("stack_distance/shards_10pct", median, 1, None);
+        rep.record("stack_distance/shards_10pct", median, None);
     }
 
     // The quadratic reference implementation, on a small prefix only.
@@ -114,7 +112,7 @@ fn stack_engines(rep: &mut JsonReport) {
         e.record_all(small.iter().copied());
         e.finish()
     }) {
-        rep.record("stack_distance_reference/naive_20k", median, 1, None);
+        rep.record("stack_distance_reference/naive_20k", median, None);
     }
 }
 
@@ -144,7 +142,7 @@ fn predict_stages(rep: &mut JsonReport) {
         )
         .expect("sampled collect")
     }) {
-        rep.record("predict_stages/stage_collect", median, 1, None);
+        rep.record("predict_stages/stage_collect", median, None);
     }
 
     let collected = collect_sampled(&wl, &configs, &scfg, None).expect("sampled collect");
@@ -158,7 +156,7 @@ fn predict_stages(rep: &mut JsonReport) {
         )
         .expect("fit")
     }) {
-        rep.record("predict_stages/stage_fit", median, 1, None);
+        rep.record("predict_stages/stage_fit", median, None);
     }
 
     let fit = Fit::new(
@@ -170,7 +168,7 @@ fn predict_stages(rep: &mut JsonReport) {
     if let Some(median) = g.bench("stage_predict", || {
         fit.forecast(&targets).expect("forecast")
     }) {
-        rep.record("predict_stages/stage_predict", median, 1, None);
+        rep.record("predict_stages/stage_predict", median, None);
     }
 
     if let Some(median) = g.bench("fast_path_end_to_end", || {
@@ -190,7 +188,7 @@ fn predict_stages(rep: &mut JsonReport) {
         .expect("fit");
         fit.forecast(&targets).expect("forecast")
     }) {
-        rep.record("predict_stages/fast_path_end_to_end", median, 1, None);
+        rep.record("predict_stages/fast_path_end_to_end", median, None);
     }
 }
 

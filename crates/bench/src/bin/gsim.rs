@@ -3,17 +3,15 @@
 //! ```text
 //! gsim list
 //! gsim run <benchmark> [--sms N] [--scale D] [--banked-dram BANKS] [--weak]
-//!          [--sim-threads N] [--sync-slack S] [--assert-determinism]
-//! gsim sweep <benchmark> [--scale D] [--threads N] [--weak] [--sim-threads N] [--sync-slack S]
-//! gsim mcm <benchmark> [--chiplets C] [--scale D] [--sim-threads N] [--sync-slack S]
-//!          [--assert-determinism]
+//! gsim sweep <benchmark> [--scale D] [--threads N] [--weak]
+//! gsim mcm <benchmark> [--chiplets C] [--scale D]
 //! gsim mrc <benchmark> [--scale D]
 //! gsim trace record <benchmark> [-o FILE] [--scale D] [--format 1|2] [--weak --sms N]
 //! gsim trace ingest <file> [--store DIR] [--max-trace-mb N]
 //! gsim trace info <file|ref> [--store DIR] [--mrc] [--max-trace-mb N]
 //! gsim trace ls [--store DIR]
 //! gsim trace-dump <benchmark> -o <file> [--scale D]
-//! gsim trace-run <file> [--sms N] [--scale D] [--sim-threads N]
+//! gsim trace-run <file> [--sms N] [--scale D]
 //! gsim predict <benchmark> [targets...] [--scale D] [--threads N]
 //!              [--path auto|fast|full] [--fast-path-gate X]
 //! gsim serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR]
@@ -23,8 +21,7 @@
 //! gsim multigpu [--gpus N] [--sms N] [--scale D] [--topology ring|full]
 //!               [--placement first-touch|interleave|replicate] [--link-gbs X]
 //!               [--link-latency C] [--tenants N] [--dag-kernels N] [--seed S]
-//!               [--sharing K] [--page-lines L] [--sim-threads N]
-//!               [--assert-determinism] [--validate [--smoke]]
+//!               [--sharing K] [--page-lines L] [--validate [--smoke]]
 //! ```
 //!
 //! `run` simulates a Table II benchmark (or, with `--weak`, the Table IV
@@ -55,19 +52,8 @@
 //! same flag tunes the service's gate, `inf` escalates every `auto`
 //! request).
 //!
-//! `--sim-threads N` shards each simulation's per-SM phase *and* its
-//! owner-sharded memory partitions over N threads (`--threads`
-//! parallelises *across* sweep jobs instead; under `serve` it sizes the
-//! HTTP worker pool). Results are bit-identical for any N ≥ 1.
-//! `--sync-slack S` opts into bounded-slack relaxed synchronisation: SMs
-//! run up to S cycles past the memory merge barrier (DESIGN.md §15).
-//! S = 0 (the default) is bit-exact; S > 0 is still deterministic for a
-//! given S but drifts within a small envelope, so it cannot be combined
-//! with `--assert-determinism`, which re-runs the simulation serially and
-//! asserts the sharded run is bit-identical (exit 2 on the combination,
-//! non-zero if the assertion trips). The run summary prints the effective
-//! phase-B mode: owner-sharded, or the serial fallback when
-//! `--sim-threads 1`.
+//! Each simulation runs on one thread; `--threads` parallelises *across*
+//! sweep jobs (under `serve` it sizes the HTTP worker pool).
 //!
 //! `multigpu` runs the multi-GPU system model (DESIGN.md §16): `--gpus`
 //! GPUs of `--sms` SMs each, connected by a `--topology` fabric of
@@ -76,11 +62,10 @@
 //! kernel-dependency DAGs of `--dag-kernels` kernels seeded by `--seed`.
 //! `--placement` picks the page-placement policy, `--sharing K` splits
 //! each GPU into K MIG-style kernel slots, and `--page-lines` sets the
-//! page granularity. `--assert-determinism` re-runs the system serially
-//! and asserts bit-identical aggregate stats. `--validate` runs the
-//! scale-model validation experiment instead: the five predictors are
-//! fitted on 1- and 2-GPU system runs and forecast 4/8/16 GPUs (just
-//! 4 with `--smoke`), each checked against an actual run.
+//! page granularity. `--validate` runs the scale-model validation
+//! experiment instead: the five predictors are fitted on 1- and 2-GPU
+//! system runs and forecast 4/8/16 GPUs (just 4 with `--smoke`), each
+//! checked against an actual run.
 //!
 //! `serve`'s overload knobs (DESIGN.md §13): `--default-deadline-ms`
 //! bounds every predict unless the request's `X-Gsim-Deadline-Ms` header
@@ -109,18 +94,16 @@ use gsim_tracestore::{StoreConfig, StoreError, TraceStore};
 fn usage() -> ! {
     eprintln!(
         "usage:\n  gsim list\n  gsim run <benchmark> [--sms N] [--scale D] \
-         [--banked-dram BANKS] [--weak] [--sim-threads N] [--sync-slack S] \
-         [--assert-determinism]\n  gsim sweep <benchmark> [--scale D] \
-         [--threads N] [--weak] [--sim-threads N] [--sync-slack S]\n  \
-         gsim mcm <benchmark> [--chiplets C] \
-         [--scale D] [--sim-threads N] [--sync-slack S] [--assert-determinism]\n  \
+         [--banked-dram BANKS] [--weak]\n  gsim sweep <benchmark> [--scale D] \
+         [--threads N] [--weak]\n  \
+         gsim mcm <benchmark> [--chiplets C] [--scale D]\n  \
          gsim mrc <benchmark> [--scale D]\n  \
          gsim trace record <benchmark> [-o FILE] [--scale D] [--format 1|2] [--weak --sms N]\n  \
          gsim trace ingest <file> [--store DIR] [--max-trace-mb N]\n  \
          gsim trace info <file|ref> [--store DIR] [--mrc] [--max-trace-mb N]\n  \
          gsim trace ls [--store DIR]\n  \
          gsim trace-dump <benchmark> -o <file> [--scale D]\n  \
-         gsim trace-run <file> [--sms N] [--scale D] [--sim-threads N]\n  \
+         gsim trace-run <file> [--sms N] [--scale D]\n  \
          gsim predict <benchmark> [targets...] [--scale D] [--threads N] \
          [--path auto|fast|full] [--fast-path-gate X]\n  \
          gsim serve [--addr HOST:PORT] [--threads N] [--cache-dir DIR] [--store DIR] \
@@ -130,7 +113,7 @@ fn usage() -> ! {
          gsim multigpu [--gpus N] [--sms N] [--scale D] [--topology ring|full] \
          [--placement first-touch|interleave|replicate] [--link-gbs X] [--link-latency C] \
          [--tenants N] [--dag-kernels N] [--seed S] [--sharing K] [--page-lines L] \
-         [--sim-threads N] [--assert-determinism] [--validate [--smoke]]"
+         [--validate [--smoke]]"
     );
     exit(2)
 }
@@ -197,9 +180,6 @@ struct Flags {
     banked_dram: u32,
     threads: Option<usize>,
     runner_threads: usize,
-    sim_threads: u32,
-    sync_slack: u32,
-    assert_determinism: bool,
     weak: bool,
     addr: String,
     cache_dir: Option<String>,
@@ -240,9 +220,6 @@ fn parse(args: &[String]) -> Flags {
         banked_dram: 0,
         threads: None,
         runner_threads: 0,
-        sim_threads: 1,
-        sync_slack: 0,
-        assert_determinism: false,
         weak: false,
         addr: "127.0.0.1:8191".to_string(),
         cache_dir: None,
@@ -282,10 +259,6 @@ fn parse(args: &[String]) -> Flags {
             "--banked-dram" => f.banked_dram = flag_u32(&mut it, "--banked-dram"),
             "--threads" => f.threads = Some(flag_u32(&mut it, "--threads") as usize),
             "--runner-threads" => f.runner_threads = flag_u32(&mut it, "--runner-threads") as usize,
-            "--sim-threads" => f.sim_threads = flag_u32_min(&mut it, "--sim-threads", 1),
-            // u32 parse already exits 2 on negatives and garbage.
-            "--sync-slack" => f.sync_slack = flag_u32(&mut it, "--sync-slack"),
-            "--assert-determinism" => f.assert_determinism = true,
             "--weak" => f.weak = true,
             "--addr" => f.addr = flag_str(&mut it, "--addr", "HOST:PORT"),
             "--cache-dir" => f.cache_dir = Some(flag_str(&mut it, "--cache-dir", "a directory")),
@@ -360,54 +333,7 @@ fn parse(args: &[String]) -> Flags {
             other => f.positional.push(other.to_string()),
         }
     }
-    if f.assert_determinism && f.sync_slack > 0 {
-        eprintln!(
-            "--assert-determinism requires bit-exact mode; drop --sync-slack {} (relaxed \
-             sync is deterministic per slack value but not bit-identical to the exact run)",
-            f.sync_slack
-        );
-        exit(2)
-    }
     f
-}
-
-/// The effective phase-B execution mode of `cfg`, for the run summary.
-fn phase_b_mode(cfg: &GpuConfig) -> String {
-    let partitions = cfg.mem_shards.max(1).min(cfg.llc_slices).min(cfg.n_mcs);
-    let mut mode = if cfg.sim_threads > 1 {
-        format!(
-            "owner-sharded ({partitions} partition{}, {} threads)",
-            if partitions == 1 { "" } else { "s" },
-            cfg.sim_threads
-        )
-    } else {
-        format!(
-            "serial fallback ({partitions} partition{})",
-            if partitions == 1 { "" } else { "s" }
-        )
-    };
-    if cfg.sync_slack > 0 {
-        mode.push_str(&format!(", slack {} cycles", cfg.sync_slack));
-    }
-    mode
-}
-
-/// Re-runs `wl` on the serial driver and asserts the sharded run's stats
-/// are bit-identical (the `--assert-determinism` test flag; panics — and
-/// thus exits non-zero — on divergence).
-fn check_determinism<W: WorkloadModel>(cfg: &GpuConfig, wl: &W, sharded: &SimStats)
-where
-    W::Stream: Send,
-{
-    let mut serial = cfg.clone();
-    serial.sim_threads = 1;
-    let base = Simulator::new(serial, wl).run();
-    base.assert_deterministic_eq(sharded);
-    println!(
-        "determinism: t{} bit-identical to t1 ({} cycles)",
-        cfg.sim_threads.max(1),
-        sharded.cycles
-    );
 }
 
 fn print_stats(label: &str, st: &SimStats) {
@@ -438,8 +364,6 @@ fn cmd_multigpu(f: &Flags) {
 
     let mut gpu = GpuConfig::paper_target(f.sms, f.scale);
     gpu.dram_banks_per_mc = f.banked_dram;
-    gpu.sim_threads = f.sim_threads;
-    gpu.sync_slack = f.sync_slack;
     let cfg = SystemConfig {
         n_gpus: f.gpus,
         gpu,
@@ -515,7 +439,6 @@ fn cmd_multigpu(f: &Flags) {
         ),
         &report.stats,
     );
-    println!("  phase B           {}", phase_b_mode(&cfg.gpu));
     println!("  fabric transfers  {:>14}", report.fabric.transfers);
     println!("  fabric bytes      {:>14}", report.fabric.link_bytes);
     println!("  fabric queue cyc  {:>14.0}", report.fabric.queue_cycles);
@@ -524,17 +447,6 @@ fn cmd_multigpu(f: &Flags) {
         println!(
             "  gpu{g} busy         {:>13.1}%",
             busy as f64 / (report.stats.cycles.max(1) * slots) as f64 * 100.0
-        );
-    }
-    if f.assert_determinism {
-        let mut serial = cfg.clone();
-        serial.gpu.sim_threads = 1;
-        let base = SystemSim::new(serial, &tenants).run();
-        base.stats.assert_deterministic_eq(&report.stats);
-        println!(
-            "determinism: t{} bit-identical to t1 ({} cycles)",
-            cfg.gpu.sim_threads.max(1),
-            report.stats.cycles
         );
     }
 }
@@ -779,14 +691,8 @@ fn main() {
             };
             let mut cfg = GpuConfig::paper_target(f.sms, f.scale);
             cfg.dram_banks_per_mc = f.banked_dram;
-            cfg.sim_threads = f.sim_threads;
-            cfg.sync_slack = f.sync_slack;
-            let st = Simulator::new(cfg.clone(), &wl).run();
+            let st = Simulator::new(cfg, &wl).run();
             print_stats(&format!("{name} on {} SMs ({})", f.sms, f.scale), &st);
-            println!("  phase B           {}", phase_b_mode(&cfg));
-            if f.assert_determinism {
-                check_determinism(&cfg, &wl, &st);
-            }
         }
         "multigpu" => cmd_multigpu(&f),
         "sweep" => {
@@ -806,8 +712,6 @@ fn main() {
                 Box::new(move |_| bench.workload.clone())
             };
             let scale = f.scale;
-            let sim_threads = f.sim_threads;
-            let sync_slack = f.sync_slack;
             let sizes = [8u32, 16, 32, 64, 128];
             let runner = Runner::new(RunnerConfig {
                 threads: f.threads.unwrap_or(0),
@@ -821,10 +725,7 @@ fn main() {
                     .map(|&z| (format!("{name}@{z}sm"), z))
                     .collect(),
                 move |&sms: &u32| {
-                    let mut cfg = GpuConfig::paper_target(sms, scale);
-                    cfg.sim_threads = sim_threads;
-                    cfg.sync_slack = sync_slack;
-                    Simulator::new(cfg, &workload_for(sms)).run()
+                    Simulator::new(GpuConfig::paper_target(sms, scale), &workload_for(sms)).run()
                 },
             );
             println!(
@@ -872,9 +773,7 @@ fn main() {
                 exit(2)
             });
             let wl = bench.workload_for_chiplets(f.chiplets);
-            let mut mcm = ChipletConfig::paper_mcm(f.chiplets, f.scale);
-            mcm.chiplet.sim_threads = f.sim_threads;
-            mcm.chiplet.sync_slack = f.sync_slack;
+            let mcm = ChipletConfig::paper_mcm(f.chiplets, f.scale);
             let st = Simulator::new_mcm(&mcm, &wl).run();
             print_stats(
                 &format!(
@@ -885,18 +784,6 @@ fn main() {
                 ),
                 &st,
             );
-            println!("  phase B           {}", phase_b_mode(&mcm.chiplet));
-            if f.assert_determinism {
-                let mut serial = mcm.clone();
-                serial.chiplet.sim_threads = 1;
-                let base = Simulator::new_mcm(&serial, &wl).run();
-                base.assert_deterministic_eq(&st);
-                println!(
-                    "determinism: t{} bit-identical to t1 ({} cycles)",
-                    f.sim_threads.max(1),
-                    st.cycles
-                );
-            }
         }
         "mrc" => {
             let name = f.positional.first().unwrap_or_else(|| usage());
@@ -962,17 +849,11 @@ fn main() {
                 .unwrap_or_else(|e| trace_exit(&format!("bad trace {path}"), &e));
             let mut cfg = GpuConfig::paper_target(f.sms, f.scale);
             cfg.dram_banks_per_mc = f.banked_dram;
-            cfg.sim_threads = f.sim_threads;
-            cfg.sync_slack = f.sync_slack;
-            let st = Simulator::new(cfg.clone(), &traced).run();
+            let st = Simulator::new(cfg, &traced).run();
             print_stats(
                 &format!("trace {} on {} SMs ({})", traced.name(), f.sms, f.scale),
                 &st,
             );
-            println!("  phase B           {}", phase_b_mode(&cfg));
-            if f.assert_determinism {
-                check_determinism(&cfg, &traced, &st);
-            }
         }
         "predict" => {
             use std::time::Instant;

@@ -1,5 +1,5 @@
-//! End-to-end checks of the CLI binaries: the `--sim-threads` flag and
-//! the `gsim trace` store workflow.
+//! End-to-end checks of the CLI binaries: `gsim run`, `gsim multigpu`,
+//! flag rejection, and the `gsim trace` store workflow.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -170,62 +170,17 @@ fn gsim_trace_failures_map_to_distinct_exit_codes() {
 }
 
 #[test]
-fn gsim_run_accepts_sim_threads_and_stays_deterministic() {
+fn gsim_run_is_deterministic_and_reports_throughput() {
     // A small scale model on the coarsest miniature keeps this fast.
-    let serial = gsim(&["run", "pf", "--sms", "8", "--scale", "64"]);
-    assert!(serial.status.success(), "serial run failed: {serial:?}");
-    let sharded = gsim(&[
-        "run",
-        "pf",
-        "--sms",
-        "8",
-        "--scale",
-        "64",
-        "--sim-threads",
-        "2",
-    ]);
-    assert!(sharded.status.success(), "sharded run failed: {sharded:?}");
-    assert_eq!(
-        cycles_line(&serial),
-        cycles_line(&sharded),
-        "results must be bit-identical across --sim-threads"
-    );
-    let stdout = String::from_utf8_lossy(&sharded.stdout).to_string();
+    let args = ["run", "pf", "--sms", "8", "--scale", "64"];
+    let a = gsim(&args);
+    let b = gsim(&args);
+    assert!(a.status.success(), "run failed: {a:?}");
+    assert_eq!(cycles_line(&a), cycles_line(&b), "repeated runs must agree");
+    let stdout = stdout_of(&a);
     assert!(
         stdout.contains("sim cycles/sec"),
         "summary should report simulation throughput: {stdout}"
-    );
-}
-
-#[test]
-fn gsim_rejects_zero_sim_threads() {
-    let out = gsim(&["run", "pf", "--sim-threads", "0"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--sim-threads"));
-}
-
-#[test]
-fn gsim_multigpu_runs_and_is_thread_invariant() {
-    let out = gsim(&[
-        "multigpu",
-        "--gpus",
-        "2",
-        "--sms",
-        "8",
-        "--scale",
-        "64",
-        "--dag-kernels",
-        "2",
-        "--sim-threads",
-        "2",
-        "--assert-determinism",
-    ]);
-    assert!(out.status.success(), "multigpu run failed: {out:?}");
-    let stdout = stdout_of(&out);
-    assert!(stdout.contains("fabric bytes"), "{stdout}");
-    assert!(
-        stdout.contains("determinism: t2 bit-identical to t1"),
-        "{stdout}"
     );
 }
 
@@ -294,55 +249,34 @@ fn gsim_multigpu_validate_smoke_prints_all_predictors() {
 }
 
 #[test]
-fn gsim_multigpu_rejects_flag_garbage_with_exit_2() {
-    for args in [
-        ["multigpu", "--gpus", "0"],
-        ["multigpu", "--gpus", "two"],
-        ["multigpu", "--topology", "mesh"],
-        ["multigpu", "--placement", "numa"],
-        ["multigpu", "--link-gbs", "0"],
-        ["multigpu", "--link-gbs", "fast"],
-        ["multigpu", "--sync-slack", "lots"],
-        ["multigpu", "--tenants", "0"],
-        ["multigpu", "--page-lines", "0"],
-    ] {
-        let out = gsim(&args);
+fn gsim_rejects_flag_garbage_with_exit_2() {
+    let cases: [&[&str]; 11] = [
+        &["multigpu", "--gpus", "0"],
+        &["multigpu", "--gpus", "two"],
+        &["multigpu", "--topology", "mesh"],
+        &["multigpu", "--placement", "numa"],
+        &["multigpu", "--link-gbs", "0"],
+        &["multigpu", "--link-gbs", "fast"],
+        &["multigpu", "--tenants", "0"],
+        &["multigpu", "--page-lines", "0"],
+        // Removed with the intra-simulation threading.
+        &["run", "pf", "--sim-threads", "2"],
+        &["run", "pf", "--sync-slack", "4"],
+        &["run", "pf", "--assert-determinism"],
+    ];
+    for args in cases {
+        let out = gsim(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
     }
     // --sharing must divide the per-GPU SM count.
     let out = gsim(&["multigpu", "--sms", "8", "--sharing", "3"]);
     assert_eq!(out.status.code(), Some(2), "indivisible sharing");
-}
-
-#[test]
-fn repro_rejects_zero_sim_threads() {
-    let out = repro(&["--sim-threads", "0", "table1"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--sim-threads"));
-}
-
-#[test]
-fn repro_accepts_sim_threads() {
-    // table1 derives configurations without running simulations, so this
-    // only exercises argument handling — which is the point.
     let out = repro(&["--sim-threads", "2", "table1"]);
-    assert!(out.status.success(), "repro failed: {out:?}");
-}
-
-#[test]
-fn scale_model_predict_accepts_and_validates_sim_threads() {
-    let ok = scale_model_predict(&[
-        "--sim-threads",
-        "4",
-        "10.0",
-        "20.0",
-        "5.0",
-        "5.0",
-        "5.0",
-        "5.0",
-        "5.0",
-    ]);
-    assert!(ok.status.success(), "predict failed: {ok:?}");
-    let bad = scale_model_predict(&["--sim-threads", "0", "10.0", "20.0", "5.0"]);
-    assert_eq!(bad.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(2), "repro --sim-threads");
+    let out = scale_model_predict(&["--sim-threads", "2", "10.0", "20.0", "5.0"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "scale_model_predict --sim-threads"
+    );
 }

@@ -175,8 +175,6 @@ pub struct StrongScalingExperiment {
     scale: MemScale,
     sizes: Vec<u32>,
     model_sizes: (u32, u32),
-    sim_threads: u32,
-    sync_slack: u32,
 }
 
 impl StrongScalingExperiment {
@@ -186,28 +184,7 @@ impl StrongScalingExperiment {
             scale,
             sizes: vec![8, 16, 32, 64, 128],
             model_sizes: (8, 16),
-            sim_threads: 1,
-            sync_slack: 0,
         }
-    }
-
-    /// Shards each simulation's per-SM phase over `sim_threads` threads
-    /// (`GpuConfig::sim_threads`); results are bit-identical either way.
-    /// Composes with sweep-level parallelism: a sweep of small configs
-    /// keeps one simulation per core, a single big run fans out inside.
-    #[must_use]
-    pub fn with_sim_threads(mut self, sim_threads: u32) -> Self {
-        self.sim_threads = sim_threads.max(1);
-        self
-    }
-
-    /// Bounded-slack relaxed synchronisation (`GpuConfig::sync_slack`):
-    /// 0 (the default) is bit-exact; `s > 0` trades a documented accuracy
-    /// envelope for fewer merge barriers (DESIGN.md §15).
-    #[must_use]
-    pub fn with_sync_slack(mut self, sync_slack: u32) -> Self {
-        self.sync_slack = sync_slack;
-        self
     }
 
     /// Uses different scale-model sizes (the artifact appendix evaluates
@@ -240,12 +217,7 @@ impl StrongScalingExperiment {
         let configs: Vec<GpuConfig> = self
             .sizes
             .iter()
-            .map(|&s| {
-                let mut cfg = GpuConfig::paper_target(s, self.scale);
-                cfg.sim_threads = self.sim_threads;
-                cfg.sync_slack = self.sync_slack;
-                cfg
-            })
+            .map(|&s| GpuConfig::paper_target(s, self.scale))
             .collect();
         // Detailed simulation of every size (targets are the ground truth;
         // scale models are the predictor inputs).
@@ -331,34 +303,12 @@ pub struct WeakOutcome {
 #[derive(Debug, Clone)]
 pub struct WeakScalingExperiment {
     scale: MemScale,
-    sim_threads: u32,
-    sync_slack: u32,
 }
 
 impl WeakScalingExperiment {
     /// The paper's setup (8/16-SM scale models, 32/64/128-SM targets).
     pub fn new(scale: MemScale) -> Self {
-        Self {
-            scale,
-            sim_threads: 1,
-            sync_slack: 0,
-        }
-    }
-
-    /// Shards each simulation's per-SM phase over `sim_threads` threads
-    /// (`GpuConfig::sim_threads`); results are bit-identical either way.
-    #[must_use]
-    pub fn with_sim_threads(mut self, sim_threads: u32) -> Self {
-        self.sim_threads = sim_threads.max(1);
-        self
-    }
-
-    /// Bounded-slack relaxed synchronisation (`GpuConfig::sync_slack`);
-    /// see [`StrongScalingExperiment::with_sync_slack`].
-    #[must_use]
-    pub fn with_sync_slack(mut self, sync_slack: u32) -> Self {
-        self.sync_slack = sync_slack;
-        self
+        Self { scale }
     }
 
     /// Runs the pipeline for one weak-scalable benchmark.
@@ -372,9 +322,7 @@ impl WeakScalingExperiment {
             .iter()
             .map(|&s| {
                 let wl = bench.workload_for_sms(s);
-                let mut cfg = GpuConfig::paper_target(s, self.scale);
-                cfg.sim_threads = self.sim_threads;
-                cfg.sync_slack = self.sync_slack;
+                let cfg = GpuConfig::paper_target(s, self.scale);
                 measure(&Simulator::new(cfg, &wl).run(), s)
             })
             .collect();
@@ -414,8 +362,6 @@ impl WeakScalingExperiment {
 pub struct McmExperiment {
     scale: MemScale,
     chiplet_counts: [u32; 3],
-    sim_threads: u32,
-    sync_slack: u32,
 }
 
 impl McmExperiment {
@@ -424,25 +370,7 @@ impl McmExperiment {
         Self {
             scale,
             chiplet_counts: [4, 8, 16],
-            sim_threads: 1,
-            sync_slack: 0,
         }
-    }
-
-    /// Shards each simulation's per-SM phase over `sim_threads` threads
-    /// (`GpuConfig::sim_threads`); results are bit-identical either way.
-    #[must_use]
-    pub fn with_sim_threads(mut self, sim_threads: u32) -> Self {
-        self.sim_threads = sim_threads.max(1);
-        self
-    }
-
-    /// Bounded-slack relaxed synchronisation (`GpuConfig::sync_slack`);
-    /// see [`StrongScalingExperiment::with_sync_slack`].
-    #[must_use]
-    pub fn with_sync_slack(mut self, sync_slack: u32) -> Self {
-        self.sync_slack = sync_slack;
-        self
     }
 
     /// Runs the pipeline for one benchmark; returns `None` if the
@@ -460,9 +388,7 @@ impl McmExperiment {
             .iter()
             .map(|&c| {
                 let wl = bench.workload_for_chiplets(c);
-                let mut mcm = ChipletConfig::paper_mcm(c, self.scale);
-                mcm.chiplet.sim_threads = self.sim_threads;
-                mcm.chiplet.sync_slack = self.sync_slack;
+                let mcm = ChipletConfig::paper_mcm(c, self.scale);
                 measure(&Simulator::new_mcm(&mcm, &wl).run(), c)
             })
             .collect();

@@ -1929,18 +1929,15 @@ fn encode_config(c: &GpuConfig) -> String {
         dram_latency,
         llc_policy,
         dram_banks_per_mc,
-        sim_threads: _, // host execution knob: results are identical
-        mem_shards,
-        sync_slack,
         mem_scale,
     } = c;
+    // Literal `shards=8;slack=0` keeps existing `predictions.jsonl` addresses valid.
     format!(
         "n_sms={n_sms};clock={sm_clock_ghz};warps={warps_per_sm};threads={max_threads_per_sm};\
          l1={l1_bytes}/{l1_ways}w/{l1_mshrs}m/{l1_latency}c;line={line_bytes};\
          llc={llc_bytes_total}/{llc_slices}s/{llc_ways}w/{llc_latency}c;\
          noc={noc_gbs}/{noc_hop_latency}c;dram={dram_gbs_per_mc}x{n_mcs}/{dram_latency}c;\
-         policy={llc_policy:?};banks={dram_banks_per_mc};shards={mem_shards};\
-         slack={sync_slack};scale={}",
+         policy={llc_policy:?};banks={dram_banks_per_mc};shards=8;slack=0;scale={}",
         mem_scale.divisor()
     )
 }
@@ -2265,10 +2262,12 @@ mod tests {
         let a = encode_config(&GpuConfig::paper_target(8, MemScale::default()));
         let b = encode_config(&GpuConfig::paper_target(8, MemScale::new(16)));
         assert_ne!(a, b);
-        assert!(a.contains("n_sms=8"));
-        // sim_threads must NOT affect the address (results are identical).
-        let mut cfg = GpuConfig::paper_target(8, MemScale::default());
-        cfg.sim_threads = 7;
-        assert_eq!(a, encode_config(&cfg));
+        // Pinned: a change to this string moves every cache address.
+        assert_eq!(
+            a,
+            "n_sms=8;clock=1;warps=48;threads=1536;l1=6144/6w/384m/25c;line=128;\
+             llc=278528/4s/64w/50c;noc=168.5/12c;dram=145x1/150c;policy=Lru;banks=0;\
+             shards=8;slack=0;scale=8"
+        );
     }
 }

@@ -1,22 +1,14 @@
-//! The owner-sharded memory system of a chip(let) and the request path
+//! The partitioned memory system of a chip(let) and the request path
 //! into it.
 //!
 //! The shared memory system of every chip(let) is divided into
-//! `min(mem_shards, llc_slices, n_mcs)` fixed *partitions* ([`MemShard`]),
+//! `min(8, llc_slices, n_mcs)` fixed *partitions* ([`MemPartition`]),
 //! each owning a slice group (global slice `g` belongs to partition
 //! `g % K`), the memory controllers interleaved onto it, its own in-flight
 //! fill tracker and a proportional share of the crossbar bisection — the
-//! memory-partition structure of real GPUs, and the unit of ownership the
-//! parallel apply phase hands to worker threads (DESIGN.md §15).
-//!
-//! A request is *routed* serially (deterministic first-touch page
-//! placement and mailbox order), *applied* partition-parallel (each shard
-//! replays its mailbox against purely shard-local state), and *merged*
-//! serially in global (cycle, SM, request) order (MSHR registration, warp
-//! wake-ups and the inter-chiplet legs, which touch cross-partition
-//! state). Because mailbox order is fixed by the serial route pass and
-//! every shard owns disjoint state, the results are bit-identical for any
-//! thread count.
+//! memory-partition structure of real GPUs (DESIGN.md §10). The
+//! partitioning is part of the simulated machine: it fixes the
+//! line-to-partition interleaving the results depend on.
 
 use gsim_mem::{slice_for_line, BankedDramModel, DramModel, DramTiming, FillTracker, SlicedLlc};
 use gsim_noc::Crossbar;
@@ -40,6 +32,9 @@ const ATOMIC_OCCUPANCY: f64 = 8.0;
 const BISECTION_FRACTION: f64 = 0.25;
 /// Response payload of an atomic (a word, not a line).
 const ATOMIC_BYTES: u32 = 32;
+/// Memory partitions per chip(let), before clamping to the slice and
+/// memory-controller counts.
+const MEM_PARTITIONS: u32 = 8;
 
 /// What kind of request enters the shared memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,29 +67,29 @@ impl Dram {
     }
 }
 
-/// The fixed partitioning of a chip(let)'s memory system into owner
-/// shards. Identical for every chiplet of an MCM (they share one
-/// per-chiplet configuration); global shard id = `chiplet * per_chiplet
-/// + sub_shard`.
+/// The fixed partitioning of a chip(let)'s memory system. Identical for
+/// every chiplet of an MCM (they share one per-chiplet configuration);
+/// global partition id = `chiplet * per_chiplet + sub_partition`.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct ShardMap {
-    /// Partitions per chip(let): `min(mem_shards, llc_slices, n_mcs)`.
+pub(super) struct PartitionMap {
+    /// Partitions per chip(let): `min(MEM_PARTITIONS, llc_slices, n_mcs)`.
     pub per_chiplet: u32,
     /// Global LLC slices per chip(let) (the hash domain).
     pub llc_slices: u32,
 }
 
-impl ShardMap {
-    pub(super) fn new(cfg: &GpuConfig) -> Self {
+impl PartitionMap {
+    fn new(cfg: &GpuConfig) -> Self {
         Self {
-            per_chiplet: cfg.mem_shards.max(1).min(cfg.llc_slices).min(cfg.n_mcs),
+            per_chiplet: MEM_PARTITIONS.min(cfg.llc_slices).min(cfg.n_mcs),
             llc_slices: cfg.llc_slices,
         }
     }
 
-    /// `(sub_shard, local_slice)` of `line` within its owner chip(let).
-    /// The *global* slice hash is unchanged from the unsharded model;
-    /// partition `k` owns global slices `{k, k + K, k + 2K, ...}`.
+    /// `(sub_partition, local_slice)` of `line` within its owner
+    /// chip(let). The *global* slice hash is unchanged from the
+    /// unpartitioned model; partition `k` owns global slices
+    /// `{k, k + K, k + 2K, ...}`.
     #[inline]
     pub(super) fn route(&self, line: u64) -> (u32, u32) {
         let g = slice_for_line(line, self.llc_slices);
@@ -102,9 +97,9 @@ impl ShardMap {
     }
 }
 
-/// One staged request in a shard's mailbox. `t0` is the cycle the request
-/// enters the memory system (the `now` of the historical `mem_request`).
-pub(super) struct MailEntry {
+/// One request into a partition. `t0` is the cycle the request enters the
+/// memory system.
+pub(super) struct MemReq {
     pub t0: u64,
     pub line: u64,
     pub local_slice: u32,
@@ -113,58 +108,44 @@ pub(super) struct MailEntry {
     pub remote: bool,
 }
 
-/// A shard's answer for one mailbox entry. `local_done` is the response
-/// arrival over the shard's crossbar share; `data_at_llc` is when the
+/// A partition's answer to one request. `local_done` is the response
+/// arrival over the partition's crossbar share; `data_at_llc` is when the
 /// data left the LLC (the departure time of the inter-chiplet leg, which
-/// the serial merge charges for remote entries).
+/// the engine charges for remote requests).
 #[derive(Debug, Clone, Copy)]
-pub(super) struct ApplyOut {
+pub(super) struct MemResp {
     pub local_done: f64,
     pub data_at_llc: f64,
     pub payload: u32,
-    pub t0: u64,
-    pub remote: bool,
-}
-
-/// The configuration slice the partition-parallel apply needs; `Copy` so
-/// worker threads can share one instance.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct ApplyParams {
-    pub llc_latency: f64,
-    pub line_bytes: u32,
-    pub crossing_latency: f64,
 }
 
 /// One memory partition: a slice group of the LLC, the memory controllers
 /// interleaved onto it, a proportional share of the crossbar bisection,
-/// and its own in-flight fill tracker. Everything here is owned by
-/// exactly one shard, so the apply phase touches it without locks held by
-/// anyone else.
-pub(super) struct MemShard {
+/// and its own in-flight fill tracker.
+pub(super) struct MemPartition {
     pub noc: Crossbar,
     pub llc: SlicedLlc,
     pub slice_free: Vec<f64>,
     pub dram: Dram,
     /// In-flight LLC fills (line -> completion cycle), for miss merging.
     pub pending: FillTracker,
-    // Order-free statistic deltas, harvested once at the end of the run.
+    // Statistics, harvested once at the end of the run.
     pub llc_accesses: u64,
     pub llc_misses: u64,
     pub dram_bytes: u64,
-    /// Requests staged by the serial route pass, in global
-    /// (cycle, SM, request) order restricted to this shard.
-    pub mailbox: Vec<MailEntry>,
-    /// Per-entry answers, parallel to the mailbox of the last apply.
-    pub results: Vec<ApplyOut>,
+    llc_latency: f64,
+    line_bytes: u32,
+    /// Chiplet-crossing latency of a remote request (0 when monolithic).
+    crossing_latency: f64,
 }
 
-impl MemShard {
-    /// Builds sub-shard `k` (of `map.per_chiplet`) of one chip(let).
-    pub(super) fn new(cfg: &GpuConfig, map: ShardMap, k: u32) -> Self {
+impl MemPartition {
+    /// Builds sub-partition `k` (of `map.per_chiplet`) of one chip(let).
+    fn new(cfg: &GpuConfig, map: PartitionMap, k: u32, crossing_latency: f64) -> Self {
         let kk = map.per_chiplet;
         debug_assert!(k < kk);
         // Slice group {k, k+K, ...}: same per-slice capacity as the
-        // unsharded LLC, local index g / K.
+        // unpartitioned LLC, local index g / K.
         let n_slices = (map.llc_slices - k).div_ceil(kk);
         let slice_bytes = cfg.llc_bytes_total / u64::from(cfg.llc_slices);
         let llc = SlicedLlc::partition(
@@ -207,96 +188,84 @@ impl MemShard {
             llc_accesses: 0,
             llc_misses: 0,
             dram_bytes: 0,
-            mailbox: Vec::new(),
-            results: Vec::new(),
+            llc_latency: f64::from(cfg.llc_latency),
+            line_bytes: cfg.line_bytes,
+            crossing_latency,
         }
     }
 
-    /// Replays the mailbox against this shard's state, in mailbox order
-    /// (= global request order restricted to this shard), filling
-    /// `results` one entry per request. Touches only shard-local state,
-    /// so disjoint shards apply in parallel with bit-identical outcomes.
-    pub(super) fn apply(&mut self, p: &ApplyParams) {
-        self.results.clear();
-        let hop = f64::from(self.noc.hop_latency());
-        for e in &self.mailbox {
-            // Request travel: crossbar hop (+ chiplet crossing if remote).
-            let mut t = e.t0 as f64 + hop;
-            if e.remote {
-                t += p.crossing_latency;
+    /// Serves one request against this partition's state.
+    pub(super) fn access(&mut self, e: &MemReq) -> MemResp {
+        // Request travel: crossbar hop (+ chiplet crossing if remote).
+        let mut t = e.t0 as f64 + f64::from(self.noc.hop_latency());
+        if e.remote {
+            t += self.crossing_latency;
+        }
+        // Slice port (camping point).
+        let occupancy = if e.kind == ReqKind::Atomic {
+            ATOMIC_OCCUPANCY
+        } else {
+            SLICE_OCCUPANCY
+        };
+        let start = self.slice_free[e.local_slice as usize].max(t);
+        self.slice_free[e.local_slice as usize] = start + occupancy;
+        let tag_done = start + self.llc_latency;
+
+        // Tag lookup; eager fill with an in-flight merge map for
+        // timing.
+        let is_write = e.kind == ReqKind::Store;
+        let result = self.llc.access_in_slice(e.local_slice, e.line, is_write);
+        self.llc_accesses += 1;
+        let data_at_llc = if result.is_hit() {
+            match self.pending.fill_after(e.line, e.t0) {
+                Some(fill) => fill as f64,
+                None => tag_done,
             }
-            // Slice port (camping point).
-            let occupancy = if e.kind == ReqKind::Atomic {
-                ATOMIC_OCCUPANCY
-            } else {
-                SLICE_OCCUPANCY
-            };
-            let start = self.slice_free[e.local_slice as usize].max(t);
-            self.slice_free[e.local_slice as usize] = start + occupancy;
-            let tag_done = start + p.llc_latency;
-
-            // Tag lookup; eager fill with an in-flight merge map for
-            // timing.
-            let is_write = e.kind == ReqKind::Store;
-            let result = self.llc.access_in_slice(e.local_slice, e.line, is_write);
-            self.llc_accesses += 1;
-            let data_at_llc = if result.is_hit() {
-                match self.pending.fill_after(e.line, e.t0) {
-                    Some(fill) => fill as f64,
-                    None => tag_done,
+        } else {
+            self.llc_misses += 1;
+            if let Some(victim) = result.evicted() {
+                if victim.dirty {
+                    self.dram
+                        .write_back(tag_done as u64, victim.line_addr, self.line_bytes);
+                    self.dram_bytes += u64::from(self.line_bytes);
                 }
-            } else {
-                self.llc_misses += 1;
-                if let Some(victim) = result.evicted() {
-                    if victim.dirty {
-                        self.dram
-                            .write_back(tag_done as u64, victim.line_addr, p.line_bytes);
-                        self.dram_bytes += u64::from(p.line_bytes);
-                    }
-                }
-                let fill = self.dram.read(tag_done as u64, e.line, p.line_bytes);
-                self.dram_bytes += u64::from(p.line_bytes);
-                self.pending.insert(e.line, fill, e.t0);
-                fill as f64
-            };
+            }
+            let fill = self.dram.read(tag_done as u64, e.line, self.line_bytes);
+            self.dram_bytes += u64::from(self.line_bytes);
+            self.pending.insert(e.line, fill, e.t0);
+            fill as f64
+        };
 
-            // Response travel over this shard's bisection share.
-            let payload = if e.kind == ReqKind::Atomic {
-                ATOMIC_BYTES
-            } else {
-                p.line_bytes
-            };
-            let eff = ((f64::from(payload) * BISECTION_FRACTION) as u32).max(1);
-            let local_done = self.noc.traverse(data_at_llc, eff);
-            self.results.push(ApplyOut {
-                local_done,
-                data_at_llc,
-                payload,
-                t0: e.t0,
-                remote: e.remote,
-            });
+        // Response travel over this partition's bisection share.
+        let payload = if e.kind == ReqKind::Atomic {
+            ATOMIC_BYTES
+        } else {
+            self.line_bytes
+        };
+        let eff = ((f64::from(payload) * BISECTION_FRACTION) as u32).max(1);
+        let local_done = self.noc.traverse(data_at_llc, eff);
+        MemResp {
+            local_done,
+            data_at_llc,
+            payload,
         }
-        self.mailbox.clear();
     }
 }
 
-/// Mutable access to every memory shard by global id, whether the shards
-/// live in one `Vec` (serial) or behind per-worker mutex guards
-/// (parallel).
-pub(super) trait ShardSet {
-    fn shard_mut(&mut self, id: usize) -> &mut MemShard;
-}
-
-impl ShardSet for Vec<MemShard> {
-    fn shard_mut(&mut self, id: usize) -> &mut MemShard {
-        &mut self[id]
-    }
-}
-
-/// Builds the full shard set of a system: `n_chiplets * map.per_chiplet`
-/// shards, chiplet-major.
-pub(super) fn build_shards(cfg: &GpuConfig, map: ShardMap, n_chiplets: u32) -> Vec<MemShard> {
-    (0..n_chiplets)
-        .flat_map(|_| (0..map.per_chiplet).map(|k| MemShard::new(cfg, map, k)))
-        .collect()
+/// Builds the partitioning of a system's chip(let)s and its full
+/// partition set: `n_chiplets * map.per_chiplet` partitions,
+/// chiplet-major. `crossing_latency` is the chiplet-crossing latency of
+/// remote requests (0 for a monolithic GPU).
+pub(super) fn build_partitions(
+    cfg: &GpuConfig,
+    n_chiplets: u32,
+    crossing_latency: f64,
+) -> (PartitionMap, Vec<MemPartition>) {
+    let map = PartitionMap::new(cfg);
+    let parts = (0..n_chiplets)
+        .flat_map(|_| {
+            (0..map.per_chiplet).map(|k| MemPartition::new(cfg, map, k, crossing_latency))
+        })
+        .collect();
+    (map, parts)
 }

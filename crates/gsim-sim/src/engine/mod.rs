@@ -2,37 +2,24 @@
 //!
 //! One engine serves both monolithic GPUs and multi-chiplet (MCM) GPUs: a
 //! monolithic GPU is a single chip(let) whose memory system is divided
-//! into owner-sharded partitions (slice groups + their memory
-//! controllers); an MCM GPU has those partitions per chiplet plus an
-//! inter-chiplet network and first-touch page placement.
+//! into fixed partitions (slice groups + their memory controllers); an MCM
+//! GPU has those partitions per chiplet plus an inter-chiplet network and
+//! first-touch page placement.
 //!
-//! The engine advances in *windows* of `sync_slack + 1` cycles
-//! (DESIGN.md §15). Within a window:
+//! Every cycle has two halves (DESIGN.md §10):
 //!
-//! * **Phase A** (parallelisable): each SM independently drains its wake
-//!   heap, picks warps and issues, buffering event records
-//!   ([`WinRec`]) for each cycle that staged shared-memory work or
-//!   completed a CTA.
-//! * **Flush** (at the window barrier): a serial *route* pass walks the
-//!   records in (cycle, SM) order — CTA completions, dispatch, kernel
-//!   sequencing, first-touch page placement — and bins line requests into
-//!   per-partition mailboxes; the partitions then *apply* their mailboxes
-//!   in parallel (each touches only its own LLC slices, DRAM channels,
-//!   crossbar share and fill tracker); a serial *merge* pass finishes in
-//!   global order (MSHR registration, warp wake-ups, inter-chiplet legs)
-//!   and makes the control-flow decision (advance, jump, finish).
-//!
-//! With the default `sync_slack = 0` the window is one cycle and every
-//! result is bit-identical for any [`GpuConfig::sim_threads`] value: the
-//! route and merge passes run in a fixed global order, and each partition
-//! sees the same mailbox sequence regardless of which thread applies it.
-//! With slack `s > 0`, SMs run up to `s` cycles past the merge barrier;
-//! results drift within a small envelope but stay deterministic for a
-//! given slack — and still thread-count-invariant, because the window
-//! structure does not depend on the host thread count.
+//! * **Phase A** runs on every SM: each drains its wake heap, picks a warp
+//!   and issues, staging any shared-memory work and completed CTAs in its
+//!   per-cycle output. It finishes on all SMs before the flush, because a
+//!   CTA completion at a kernel boundary dispatches onto every SM.
+//! * **The flush** walks the SMs in ascending order. For each SM it
+//!   handles CTA completions and dispatch, then sends each staged line
+//!   through its owner partition (first-touch page placement for MCM),
+//!   charges the inter-chiplet legs, registers MSHR fills and pushes the
+//!   warp's wake-up. It ends by deciding whether to advance one cycle,
+//!   jump to the next wake-up, or finish.
 
 mod memsys;
-mod shard;
 mod sm;
 
 use std::cmp::Reverse;
@@ -46,151 +33,28 @@ use gsim_trace::{Workload, WorkloadModel};
 use crate::chiplet::ChipletConfig;
 use crate::config::GpuConfig;
 use crate::stats::SimStats;
-use memsys::{build_shards, ApplyOut, ApplyParams, MemShard, ReqKind, ShardMap, ShardSet};
-use sm::{LaneParams, LineKind, LineReq, MemIssue, Sm, WarpCtx};
-
-/// Mutable access to every SM by global index, regardless of whether the
-/// SMs live in one `Vec` (serial) or are spread over shard mutexes
-/// (parallel). The flush passes are written against this so both
-/// execution paths share one code path — the determinism argument in one
-/// place.
-trait SmPool<S> {
-    fn n_sms(&self) -> usize;
-    fn sm_mut(&mut self, idx: usize) -> &mut Sm<S>;
-}
-
-impl<S> SmPool<S> for Vec<Sm<S>> {
-    fn n_sms(&self) -> usize {
-        self.len()
-    }
-
-    fn sm_mut(&mut self, idx: usize) -> &mut Sm<S> {
-        &mut self[idx]
-    }
-}
+use memsys::{build_partitions, MemPartition, MemReq, PartitionMap, ReqKind};
+use sm::{LineKind, LineReq, Sm, WarpCtx};
 
 /// The flush's verdict on how the simulation proceeds.
 enum CycleOutcome {
-    /// Continue at this cycle (either the next window start or a jump
-    /// target).
+    /// Continue at this cycle (the next one, or a jump target).
     Advance(u64),
     /// The simulation is over; the final cycle count is attached.
     Done(u64),
 }
 
-/// One SM's buffered phase-A output for one cycle that produced events
-/// (a staged memory instruction and/or completed CTAs). Pure-compute and
-/// idle cycles leave no record — their statistics live in the per-cycle
-/// counters of [`WindowOut`].
-struct WinRec {
-    cycle: u64,
-    sm: u32,
-    completed: u32,
-    mem: Option<MemIssue>,
-    reqs: Vec<LineReq>,
-}
-
-/// Everything one SM shard hands to the flush for one window. Owned by
-/// the execution context that ran the shard and reused across windows so
-/// the steady state allocates nothing.
-#[derive(Default)]
-struct WindowOut {
-    /// Event records, sorted by (cycle, SM) by construction.
-    recs: Vec<WinRec>,
-    /// Per window-cycle counts of SMs that issued / stalled on memory /
-    /// sat idle, indexed by offset from the window start. Issue counts
-    /// double as per-cycle warp-instruction counts (at most one
-    /// instruction issues per SM per cycle).
-    issued: Vec<u32>,
-    stalled: Vec<u32>,
-    idle: Vec<u32>,
-    l1_accesses: u64,
-    l1_misses: u64,
-    /// Recycled request buffers for `WinRec::reqs`.
-    spare: Vec<Vec<LineReq>>,
-}
-
-/// Runs `len` cycles of phase A starting at `start` over one SM shard,
-/// buffering events and per-cycle counters into `out`. Touches only the
-/// shard's SMs, so disjoint shards run on worker threads.
-fn run_window<S: gsim_trace::WarpStream>(
-    sms: &mut [Sm<S>],
-    base_sm: u32,
-    start: u64,
-    len: u32,
-    params: &LaneParams,
-    out: &mut WindowOut,
-) {
-    out.issued.clear();
-    out.issued.resize(len as usize, 0);
-    out.stalled.clear();
-    out.stalled.resize(len as usize, 0);
-    out.idle.clear();
-    out.idle.resize(len as usize, 0);
-    out.l1_accesses = 0;
-    out.l1_misses = 0;
-    debug_assert!(out.recs.is_empty(), "flush must drain records");
-    for w in 0..len {
-        let now = start + u64::from(w);
-        for (j, sm) in sms.iter_mut().enumerate() {
-            sm.phase_a(now, params);
-            out.l1_accesses += sm.out.l1_accesses;
-            out.l1_misses += sm.out.l1_misses;
-            if sm.out.issued {
-                out.issued[w as usize] += 1;
-            } else if sm.out.live {
-                out.stalled[w as usize] += 1;
-            } else {
-                out.idle[w as usize] += 1;
-            }
-            if let Some(mi) = sm.out.mem {
-                // Non-blocking issuers (stores) continue immediately:
-                // re-queue locally, exactly where the serial apply would.
-                if !mi.blocks {
-                    sm.insert_ready(mi.warp);
-                }
-            }
-            if sm.out.mem.is_some() || sm.out.completed_ctas > 0 {
-                let fresh = out.spare.pop().unwrap_or_default();
-                let reqs = std::mem::replace(&mut sm.out.reqs, fresh);
-                out.recs.push(WinRec {
-                    cycle: now,
-                    sm: base_sm + j as u32,
-                    completed: sm.out.completed_ctas,
-                    mem: sm.out.mem.take(),
-                    reqs,
-                });
-            }
-        }
-    }
-}
-
-/// Route-pass bookkeeping reused across windows.
-#[derive(Default)]
-struct FlushScratch {
-    /// `(shard id, mailbox index)` per routed request, in global
-    /// (cycle, SM, request) order — the merge pass consumes it with a
-    /// cursor.
-    plan: Vec<(u32, u32)>,
-    /// `(window-out index, record index)` of every record with a staged
-    /// memory instruction, in global (cycle, SM) order.
-    order: Vec<(u32, u32)>,
-    /// Per-window-out cursor for the cycle-ordered record walk.
-    cursors: Vec<usize>,
-    /// Set when the route pass exhausted the kernel sequence: the cycle
-    /// the last CTA completed.
-    done_at: Option<u64>,
-}
-
-/// Everything the engine owns *besides* the per-SM lanes and the memory
-/// partitions: configuration, interconnect, kernel sequencing and
-/// statistics. During a parallel run this stays on the coordinating
-/// thread; worker threads see only their SM shard and their assigned
-/// memory partitions.
-struct EngineCore<'wl, W: WorkloadModel> {
+/// The GPU timing simulator.
+///
+/// Create one per (configuration, workload) pair and call
+/// [`Simulator::run`]; the simulator is deterministic for a given workload
+/// seed.
+pub struct Simulator<'wl, W: WorkloadModel = Workload> {
     cfg: GpuConfig,
     wl: &'wl W,
-    map: ShardMap,
+    sms: Vec<Sm<W::Stream>>,
+    mem: Vec<MemPartition>,
+    map: PartitionMap,
     n_chiplets: u32,
     icn: Option<ChipletInterconnect>,
     page_owner: HashMap<u64, u32>,
@@ -208,47 +72,14 @@ struct EngineCore<'wl, W: WorkloadModel> {
     stats: SimStats,
 }
 
-/// The GPU timing simulator.
-///
-/// Create one per (configuration, workload) pair and call
-/// [`Simulator::run`]; the simulator is deterministic for a given workload
-/// seed — including across [`GpuConfig::sim_threads`] settings, which only
-/// change how the host work is scheduled.
-pub struct Simulator<'wl, W: WorkloadModel = Workload> {
-    core: EngineCore<'wl, W>,
-    sms: Vec<Sm<W::Stream>>,
-    mem: Vec<MemShard>,
-}
-
 impl<'wl, W: WorkloadModel> Simulator<'wl, W> {
     /// Creates a monolithic-GPU simulation of `wl` on `cfg`. `wl` may be
     /// a synthetic [`Workload`] or a recorded
     /// [`TracedWorkload`](gsim_trace::TracedWorkload).
     pub fn new(cfg: GpuConfig, wl: &'wl W) -> Self {
         let sms = (0..cfg.n_sms).map(|_| Sm::new(&cfg, 0)).collect();
-        let map = ShardMap::new(&cfg);
-        let mem = build_shards(&cfg, map, 1);
-        Self {
-            core: EngineCore {
-                map,
-                n_chiplets: 1,
-                icn: None,
-                page_owner: HashMap::new(),
-                page_shift: 5,
-                kernel_idx: 0,
-                next_cta: 0,
-                ctas_in_flight: 0,
-                dispatch_age: 0,
-                milestone_10: wl.approx_warp_instrs() / 10,
-                milestone_90: wl.approx_warp_instrs() * 9 / 10,
-                kernel_start_cycle: 0,
-                stats: SimStats::default(),
-                cfg,
-                wl,
-            },
-            sms,
-            mem,
-        }
+        let (map, mem) = build_partitions(&cfg, 1, 0.0);
+        Self::assemble(cfg, wl, sms, mem, map, None, 5)
     }
 
     /// Creates a multi-chiplet simulation of `wl` on `mcm` (Section VII.D):
@@ -261,106 +92,106 @@ impl<'wl, W: WorkloadModel> Simulator<'wl, W> {
         let sms = (0..total_sms)
             .map(|i| Sm::new(per, i / per.n_sms))
             .collect();
-        let map = ShardMap::new(per);
-        let mem = build_shards(per, map, n_chiplets);
+        let icn = ChipletInterconnect::from_gbs(
+            n_chiplets,
+            mcm.interchiplet_gbs_per_chiplet,
+            per.sm_clock_ghz,
+            mcm.interchiplet_latency,
+        );
+        let (map, mem) = build_partitions(per, n_chiplets, f64::from(icn.crossing_latency()));
         let mut cfg = per.clone();
         cfg.n_sms = total_sms;
+        let page_shift = mcm.page_lines.trailing_zeros();
+        Self::assemble(cfg, wl, sms, mem, map, Some(icn), page_shift)
+    }
+
+    fn assemble(
+        cfg: GpuConfig,
+        wl: &'wl W,
+        sms: Vec<Sm<W::Stream>>,
+        mem: Vec<MemPartition>,
+        map: PartitionMap,
+        icn: Option<ChipletInterconnect>,
+        page_shift: u32,
+    ) -> Self {
         Self {
-            core: EngineCore {
-                map,
-                n_chiplets,
-                icn: Some(ChipletInterconnect::from_gbs(
-                    n_chiplets,
-                    mcm.interchiplet_gbs_per_chiplet,
-                    per.sm_clock_ghz,
-                    mcm.interchiplet_latency,
-                )),
-                page_owner: HashMap::new(),
-                page_shift: mcm.page_lines.trailing_zeros(),
-                kernel_idx: 0,
-                next_cta: 0,
-                ctas_in_flight: 0,
-                dispatch_age: 0,
-                milestone_10: wl.approx_warp_instrs() / 10,
-                milestone_90: wl.approx_warp_instrs() * 9 / 10,
-                kernel_start_cycle: 0,
-                stats: SimStats::default(),
-                cfg,
-                wl,
-            },
+            cfg,
+            wl,
             sms,
             mem,
+            map,
+            n_chiplets: icn.as_ref().map_or(1, ChipletInterconnect::n_chiplets),
+            icn,
+            page_owner: HashMap::new(),
+            page_shift,
+            kernel_idx: 0,
+            next_cta: 0,
+            ctas_in_flight: 0,
+            dispatch_age: 0,
+            milestone_10: wl.approx_warp_instrs() / 10,
+            milestone_90: wl.approx_warp_instrs() * 9 / 10,
+            kernel_start_cycle: 0,
+            stats: SimStats::default(),
         }
     }
 
     /// The effective configuration (for MCM runs, the per-chiplet config
     /// with `n_sms` set to the system total).
     pub fn config(&self) -> &GpuConfig {
-        &self.core.cfg
+        &self.cfg
     }
 
     /// Runs the workload to completion and returns the statistics.
-    ///
-    /// With `sim_threads > 1`, the per-SM phase of each cycle and the
-    /// per-partition memory apply are sharded across that many execution
-    /// contexts (hence `W::Stream: Send`); the results are bit-identical
-    /// to the serial run either way. `sync_slack > 0` additionally lets
-    /// SMs run that many cycles past the merge barrier (still
-    /// deterministic per slack value, no longer bit-exact).
-    pub fn run(mut self) -> SimStats
-    where
-        W::Stream: Send,
-    {
+    pub fn run(mut self) -> SimStats {
         let wall = Instant::now();
-        let threads = (self.core.cfg.sim_threads.max(1) as usize).min(self.sms.len().max(1));
-        let window = self.core.cfg.sync_slack.saturating_add(1);
-        self.core.dispatch_round_robin(&mut self.sms);
-        let mut stats = if threads <= 1 {
-            run_serial(self.core, self.sms, self.mem, window)
-        } else {
-            shard::run_sharded(self.core, self.sms, self.mem, threads, window)
+        let l1_latency = u64::from(self.cfg.l1_latency);
+        self.dispatch_round_robin();
+        let mut now = 0u64;
+        let end = loop {
+            // Phase A on every SM; the per-cycle counters stay in locals.
+            let (mut issued, mut stalled, mut idle) = (0u64, 0u64, 0u64);
+            let (mut l1_accesses, mut l1_misses) = (0u64, 0u64);
+            for sm in &mut self.sms {
+                sm.phase_a(now, l1_latency);
+                l1_accesses += sm.out.l1_accesses;
+                l1_misses += sm.out.l1_misses;
+                if sm.out.issued {
+                    issued += 1;
+                } else if sm.out.live {
+                    stalled += 1;
+                } else {
+                    idle += 1;
+                }
+                if let Some(mi) = sm.out.mem {
+                    // Non-blocking issuers (stores) continue immediately.
+                    if !mi.blocks {
+                        sm.insert_ready(mi.warp);
+                    }
+                }
+            }
+            // At most one instruction issues per SM per cycle.
+            self.stats.warp_instrs += issued;
+            self.stats.mem_stall_sm_cycles += stalled;
+            self.stats.idle_sm_cycles += idle;
+            self.stats.l1_accesses += l1_accesses;
+            self.stats.l1_misses += l1_misses;
+            if self.stats.cycle_at_10pct == 0 && self.stats.warp_instrs >= self.milestone_10 {
+                self.stats.cycle_at_10pct = now + 1;
+            }
+            if self.stats.cycle_at_90pct == 0 && self.stats.warp_instrs >= self.milestone_90 {
+                self.stats.cycle_at_90pct = now + 1;
+                self.stats.warp_instrs_window = self.stats.warp_instrs - self.milestone_10;
+            }
+            match self.flush(now, issued > 0) {
+                CycleOutcome::Advance(t) => now = t,
+                CycleOutcome::Done(t) => break t,
+            }
         };
+        let mut stats = self.finish(end);
         stats.sim_wall_seconds = wall.elapsed().as_secs_f64();
         stats
     }
-}
 
-/// The serial driver: window, route, apply and merge inline on the
-/// calling thread.
-fn run_serial<W: WorkloadModel>(
-    mut core: EngineCore<'_, W>,
-    mut sms: Vec<Sm<W::Stream>>,
-    mut mem: Vec<MemShard>,
-    window: u32,
-) -> SimStats {
-    let params = LaneParams::from_cfg(&core.cfg);
-    let ap = core.apply_params();
-    let n_sms = sms.len();
-    let mut out = WindowOut::default();
-    let mut scratch = FlushScratch::default();
-    let mut now = 0u64;
-    loop {
-        run_window(&mut sms, 0, now, window, &params, &mut out);
-        let outcome = {
-            let mut outs = [&mut out];
-            core.flush_route(&mut sms, &mut outs, &mut mem, now, window, &mut scratch);
-            for shard in mem.iter_mut() {
-                shard.apply(&ap);
-            }
-            core.flush_merge(&mut sms, &mut outs, &mut mem, now, window, &mut scratch)
-        };
-        match outcome {
-            CycleOutcome::Advance(t) => now = t,
-            CycleOutcome::Done(t) => {
-                now = t;
-                break;
-            }
-        }
-    }
-    core.finish(now, n_sms, &mem)
-}
-
-impl<W: WorkloadModel> EngineCore<'_, W> {
     /// `(n_ctas, threads_per_cta)` of the kernel currently dispatching.
     fn cur_grid(&self) -> (u32, u32) {
         self.wl.grid(self.kernel_idx)
@@ -368,11 +199,11 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
 
     /// Dispatches CTAs of the current kernel round-robin across all SMs
     /// (Table III: round-robin CTA scheduling), used at kernel launch.
-    fn dispatch_round_robin<P: SmPool<W::Stream>>(&mut self, pool: &mut P) {
+    fn dispatch_round_robin(&mut self) {
         loop {
             let mut progress = false;
-            for i in 0..pool.n_sms() {
-                if self.try_dispatch_one(pool, i) {
+            for i in 0..self.sms.len() {
+                if self.try_dispatch_one(i) {
                     progress = true;
                 }
             }
@@ -384,7 +215,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
 
     /// Dispatches at most one CTA of the current kernel onto `sm_idx`;
     /// returns whether one was placed.
-    fn try_dispatch_one<P: SmPool<W::Stream>>(&mut self, pool: &mut P, sm_idx: usize) -> bool {
+    fn try_dispatch_one(&mut self, sm_idx: usize) -> bool {
         let kernel_idx = self.kernel_idx;
         if kernel_idx >= self.wl.n_kernels() {
             return false;
@@ -395,13 +226,11 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         if self.next_cta >= n_ctas {
             return false;
         }
+        let sm = &self.sms[sm_idx];
+        if sm.cta_remaining.len() >= max_ctas as usize
+            || (sm.free_slots.len() as u32) < warps_per_cta
         {
-            let sm = pool.sm_mut(sm_idx);
-            if sm.cta_remaining.len() >= max_ctas as usize
-                || (sm.free_slots.len() as u32) < warps_per_cta
-            {
-                return false;
-            }
+            return false;
         }
         let cta = self.next_cta;
         self.next_cta += 1;
@@ -410,7 +239,7 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
             let stream = self.wl.warp_stream(kernel_idx, cta, w);
             self.dispatch_age += 1;
             let age = self.dispatch_age;
-            let sm = pool.sm_mut(sm_idx);
+            let sm = &mut self.sms[sm_idx];
             let slot = sm.free_slots.pop().expect("checked free slots");
             sm.warps[slot as usize] = Some(WarpCtx {
                 stream,
@@ -421,17 +250,17 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
             sm.live_warps += 1;
             sm.insert_ready(slot);
         }
-        pool.sm_mut(sm_idx).cta_remaining.insert(cta, warps_per_cta);
+        self.sms[sm_idx].cta_remaining.insert(cta, warps_per_cta);
         true
     }
 
     /// Global bookkeeping for one CTA that completed on `sm_idx` at
     /// `now`: backfill dispatch, and advance the kernel sequence when the
     /// grid has drained.
-    fn on_cta_completed<P: SmPool<W::Stream>>(&mut self, pool: &mut P, sm_idx: usize, now: u64) {
+    fn on_cta_completed(&mut self, sm_idx: usize, now: u64) {
         self.ctas_in_flight -= 1;
         self.stats.ctas_executed += 1;
-        self.try_dispatch_one(pool, sm_idx);
+        self.try_dispatch_one(sm_idx);
         if self.ctas_in_flight == 0 && self.next_cta >= self.cur_grid().0 {
             // Kernel barrier reached: move to the next kernel.
             self.stats.kernels_executed += 1;
@@ -440,19 +269,8 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
             self.kernel_idx += 1;
             self.next_cta = 0;
             if self.kernel_idx < self.wl.n_kernels() {
-                self.dispatch_round_robin(pool);
+                self.dispatch_round_robin();
             }
-        }
-    }
-
-    fn apply_params(&self) -> ApplyParams {
-        ApplyParams {
-            llc_latency: f64::from(self.cfg.llc_latency),
-            line_bytes: self.cfg.line_bytes,
-            crossing_latency: self
-                .icn
-                .as_ref()
-                .map_or(0.0, |i| f64::from(i.crossing_latency())),
         }
     }
 
@@ -466,220 +284,60 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         *self.page_owner.entry(page).or_insert(toucher)
     }
 
-    /// Routes the staged line requests of one memory instruction into the
-    /// per-partition mailboxes, recording the placement in `plan`.
-    fn route_reqs(
-        &mut self,
-        mem: &mut dyn ShardSet,
-        sm_chiplet: u32,
-        cycle: u64,
-        reqs: &[LineReq],
-        plan: &mut Vec<(u32, u32)>,
-    ) {
-        let l1_lat = u64::from(self.cfg.l1_latency);
-        for req in reqs {
-            let (t0, kind) = match req.kind {
-                LineKind::MissLoad => (cycle + l1_lat, ReqKind::Load),
-                LineKind::Store => (cycle + l1_lat, ReqKind::Store),
-                LineKind::Direct(kind) => (cycle, kind),
-            };
-            let owner = self.owner_of(req.line, sm_chiplet);
-            let (sub, local_slice) = self.map.route(req.line);
-            let sid = owner * self.map.per_chiplet + sub;
-            let shard = mem.shard_mut(sid as usize);
-            shard.mailbox.push(memsys::MailEntry {
-                t0,
-                line: req.line,
-                local_slice,
-                kind,
-                remote: owner != sm_chiplet,
-            });
-            plan.push((sid, (shard.mailbox.len() - 1) as u32));
-        }
-    }
-
-    /// The serial route pass of a flush: walks the window's records in
-    /// (cycle, SM) order, driving CTA completions, dispatch, kernel
-    /// sequencing, milestones and stall accounting, and binning every
-    /// line request into its owner partition's mailbox.
-    fn flush_route<P: SmPool<W::Stream>>(
-        &mut self,
-        pool: &mut P,
-        outs: &mut [&mut WindowOut],
-        mem: &mut dyn ShardSet,
-        start: u64,
-        len: u32,
-        scratch: &mut FlushScratch,
-    ) {
-        scratch.plan.clear();
-        scratch.order.clear();
-        scratch.done_at = None;
-        scratch.cursors.clear();
-        scratch.cursors.resize(outs.len(), 0);
-        'cycles: for w in 0..len as usize {
-            let now = start + w as u64;
-            // Records of this cycle, ascending SM (shards hold contiguous
-            // ascending SM ranges, and each shard's records are
-            // (cycle, SM)-sorted by construction).
-            for (s, out) in outs.iter().enumerate() {
-                while let Some(rec) = out.recs.get(scratch.cursors[s]) {
-                    if rec.cycle != now {
-                        break;
-                    }
-                    let i = scratch.cursors[s];
-                    scratch.cursors[s] += 1;
-                    for _ in 0..rec.completed {
-                        self.on_cta_completed(pool, rec.sm as usize, now);
-                    }
-                    if rec.mem.is_some() {
-                        let chiplet = pool.sm_mut(rec.sm as usize).chiplet;
-                        self.route_reqs(mem, chiplet, now, &rec.reqs, &mut scratch.plan);
-                        scratch.order.push((s as u32, i as u32));
-                    }
+    /// The flush half of cycle `now`: walks the SMs in ascending order,
+    /// resolving each one's completed CTAs and staged memory instruction,
+    /// then decides how the simulation proceeds. `any_issued` reports
+    /// whether any SM issued during phase A.
+    fn flush(&mut self, now: u64, any_issued: bool) -> CycleOutcome {
+        for i in 0..self.sms.len() {
+            for _ in 0..self.sms[i].out.completed_ctas {
+                self.on_cta_completed(i, now);
+            }
+            if let Some(mi) = self.sms[i].out.mem {
+                let reqs = std::mem::take(&mut self.sms[i].out.reqs);
+                let wake = self.send_reqs(i, now, mi.base_wake, &reqs);
+                let sm = &mut self.sms[i];
+                sm.out.reqs = reqs;
+                if mi.blocks {
+                    sm.blocked.push(Reverse((wake, mi.warp)));
                 }
             }
-            // Cycle-level statistics and milestones, in cycle order.
-            let issued: u64 = outs.iter().map(|o| u64::from(o.issued[w])).sum();
-            self.stats.warp_instrs += issued;
-            self.stats.mem_stall_sm_cycles +=
-                outs.iter().map(|o| u64::from(o.stalled[w])).sum::<u64>();
-            self.stats.idle_sm_cycles += outs.iter().map(|o| u64::from(o.idle[w])).sum::<u64>();
-            if self.stats.cycle_at_10pct == 0 && self.stats.warp_instrs >= self.milestone_10 {
-                self.stats.cycle_at_10pct = now + 1;
-            }
-            if self.stats.cycle_at_90pct == 0 && self.stats.warp_instrs >= self.milestone_90 {
-                self.stats.cycle_at_90pct = now + 1;
-                self.stats.warp_instrs_window = self.stats.warp_instrs - self.milestone_10;
-            }
-            if self.kernel_idx >= self.wl.n_kernels() {
-                // The kernel sequence drained at this cycle; later window
-                // cycles (necessarily event-free) are discarded.
-                scratch.done_at = Some(now);
-                break 'cycles;
-            }
         }
-        for out in outs.iter() {
-            self.stats.l1_accesses += out.l1_accesses;
-            self.stats.l1_misses += out.l1_misses;
+        let end = now + 1;
+        if self.kernel_idx >= self.wl.n_kernels() {
+            // The kernel sequence drained at this cycle.
+            return CycleOutcome::Done(end);
         }
-    }
-
-    /// The final response time of one applied request: charges the
-    /// inter-chiplet legs for remote entries (egress of the owner,
-    /// ingress of the requester — cross-partition state, hence serial).
-    fn finish_entry(&mut self, r: &ApplyOut, owner_chiplet: u32, sm_chiplet: u32) -> u64 {
-        let mut done = r.local_done;
-        if r.remote {
-            let icn = self.icn.as_mut().expect("remote access implies MCM");
-            done = done.max(icn.traverse(r.data_at_llc, owner_chiplet, sm_chiplet, r.payload));
-        }
-        (done.ceil() as u64).max(r.t0 + 1)
-    }
-
-    /// The serial merge pass of a flush: walks the routed memory
-    /// instructions in global (cycle, SM, request) order, finishing each
-    /// request (inter-chiplet legs), registering fills with the issuing
-    /// SM's MSHR file, re-queueing warps, and deciding how the simulation
-    /// proceeds.
-    fn flush_merge<P: SmPool<W::Stream>>(
-        &mut self,
-        pool: &mut P,
-        outs: &mut [&mut WindowOut],
-        mem: &mut dyn ShardSet,
-        start: u64,
-        len: u32,
-        scratch: &mut FlushScratch,
-    ) -> CycleOutcome {
-        let k = self.map.per_chiplet;
-        let mut cursor = 0usize;
-        for &(s, i) in &scratch.order {
-            let rec = &outs[s as usize].recs[i as usize];
-            let mi = rec.mem.expect("ordered records stage memory");
-            let sm_chiplet = pool.sm_mut(rec.sm as usize).chiplet;
-            let mut wake = mi.base_wake;
-            for req in &rec.reqs {
-                let (sid, idx) = scratch.plan[cursor];
-                cursor += 1;
-                let result = mem.shard_mut(sid as usize).results[idx as usize];
-                let done = self.finish_entry(&result, sid / k, sm_chiplet);
-                let smx = pool.sm_mut(rec.sm as usize);
-                match req.kind {
-                    LineKind::MissLoad => {
-                        if smx.mshr.is_full() {
-                            smx.mshr.complete_up_to(rec.cycle);
-                        }
-                        match smx.mshr.register(req.line, done) {
-                            MshrOutcome::Allocated | MshrOutcome::Full => {
-                                wake = wake.max(done);
-                            }
-                            MshrOutcome::Merged(f) => {
-                                // A merge cannot be slower than a re-fetch.
-                                wake = wake.max(f.min(done));
-                            }
-                        }
-                    }
-                    // Stores are fire-and-forget: the request was charged
-                    // (including the inter-chiplet legs), the warp was
-                    // already re-queued during the window.
-                    LineKind::Store => {}
-                    LineKind::Direct(_) => {
-                        wake = wake.max(done);
-                    }
-                }
-            }
-            if mi.blocks {
-                pool.sm_mut(rec.sm as usize)
-                    .blocked
-                    .push(Reverse((wake, mi.warp)));
-            }
-        }
-        // Recycle the record buffers.
-        for out in outs.iter_mut() {
-            for i in 0..out.recs.len() {
-                let mut reqs = std::mem::take(&mut out.recs[i].reqs);
-                reqs.clear();
-                out.spare.push(reqs);
-            }
-            out.recs.clear();
-        }
-        // Control flow.
-        if let Some(done_cycle) = scratch.done_at {
-            return CycleOutcome::Done(done_cycle + 1);
-        }
-        let end = start + u64::from(len);
-        let last = (len - 1) as usize;
-        if outs.iter().any(|o| o.issued[last] > 0) {
+        if any_issued {
             return CycleOutcome::Advance(end);
         }
-        // Nothing issued at the window's last cycle: jump to the next
-        // wake-up unless a flush-time dispatch made warps ready.
-        let n = pool.n_sms();
+        // Nothing issued this cycle: jump to the next wake-up unless a
+        // flush-time dispatch made warps ready.
         let mut next_wake: Option<u64> = None;
         let mut any_ready = false;
-        for i in 0..n {
-            let smx = pool.sm_mut(i);
-            if let Some(&Reverse((t, _))) = smx.blocked.peek() {
+        for sm in &self.sms {
+            if let Some(&Reverse((t, _))) = sm.blocked.peek() {
                 next_wake = Some(next_wake.map_or(t, |m| m.min(t)));
             }
-            if smx.has_ready() {
+            if sm.has_ready() {
                 any_ready = true;
             }
         }
         if any_ready {
-            // A kernel boundary inside this window made warps ready on
-            // SMs that had already issued their attempt; give them the
-            // next cycle.
+            // A kernel boundary in this flush made warps ready on SMs that
+            // had already made their issue attempt; give them the next
+            // cycle.
             return CycleOutcome::Advance(end);
         }
         let Some(next_wake) = next_wake else {
             // No ready warps, no blocked warps, nothing issued: completion.
-            return CycleOutcome::Done(end - 1);
+            return CycleOutcome::Done(now);
         };
         let target = next_wake.max(end);
         let dt = target - end;
         if dt > 0 {
-            for i in 0..n {
-                if pool.sm_mut(i).live_warps > 0 {
+            for sm in &self.sms {
+                if sm.live_warps > 0 {
                     self.stats.mem_stall_sm_cycles += dt;
                 } else {
                     self.stats.idle_sm_cycles += dt;
@@ -689,16 +347,75 @@ impl<W: WorkloadModel> EngineCore<'_, W> {
         CycleOutcome::Advance(target)
     }
 
+    /// Sends the line requests of the memory instruction SM `sm_idx`
+    /// staged at `now` through their owner partitions, in program order:
+    /// the inter-chiplet legs of remote requests are charged, and load
+    /// misses register their fills with the SM's MSHR file. Returns the
+    /// issuing warp's wake cycle, starting from `wake`.
+    fn send_reqs(&mut self, sm_idx: usize, now: u64, mut wake: u64, reqs: &[LineReq]) -> u64 {
+        let l1_lat = u64::from(self.cfg.l1_latency);
+        let sm_chiplet = self.sms[sm_idx].chiplet;
+        for req in reqs {
+            let (t0, kind) = match req.kind {
+                LineKind::MissLoad => (now + l1_lat, ReqKind::Load),
+                LineKind::Store => (now + l1_lat, ReqKind::Store),
+                LineKind::Direct(kind) => (now, kind),
+            };
+            let owner = self.owner_of(req.line, sm_chiplet);
+            let (sub, local_slice) = self.map.route(req.line);
+            let remote = owner != sm_chiplet;
+            let r = self.mem[(owner * self.map.per_chiplet + sub) as usize].access(&MemReq {
+                t0,
+                line: req.line,
+                local_slice,
+                kind,
+                remote,
+            });
+            let mut done = r.local_done;
+            if remote {
+                // Egress of the owner, ingress of the requester.
+                let icn = self.icn.as_mut().expect("remote access implies MCM");
+                done = done.max(icn.traverse(r.data_at_llc, owner, sm_chiplet, r.payload));
+            }
+            let done = (done.ceil() as u64).max(t0 + 1);
+            let sm = &mut self.sms[sm_idx];
+            match req.kind {
+                LineKind::MissLoad => {
+                    if sm.mshr.is_full() {
+                        sm.mshr.complete_up_to(now);
+                    }
+                    match sm.mshr.register(req.line, done) {
+                        MshrOutcome::Allocated | MshrOutcome::Full => {
+                            wake = wake.max(done);
+                        }
+                        MshrOutcome::Merged(f) => {
+                            // A merge cannot be slower than a re-fetch.
+                            wake = wake.max(f.min(done));
+                        }
+                    }
+                }
+                // Stores are fire-and-forget: the request was charged
+                // (including the inter-chiplet legs), the warp was already
+                // re-queued in phase A.
+                LineKind::Store => {}
+                LineKind::Direct(_) => {
+                    wake = wake.max(done);
+                }
+            }
+        }
+        wake
+    }
+
     /// Seals the statistics once the last cycle has run, harvesting the
-    /// per-partition counters (order-free sums).
-    fn finish(mut self, now: u64, n_sms: usize, mem: &[MemShard]) -> SimStats {
-        for shard in mem {
-            self.stats.llc_accesses += shard.llc_accesses;
-            self.stats.llc_misses += shard.llc_misses;
-            self.stats.dram_bytes += shard.dram_bytes;
+    /// per-partition counters.
+    fn finish(mut self, now: u64) -> SimStats {
+        for p in &self.mem {
+            self.stats.llc_accesses += p.llc_accesses;
+            self.stats.llc_misses += p.llc_misses;
+            self.stats.dram_bytes += p.dram_bytes;
         }
         self.stats.cycles = now;
-        self.stats.total_sm_cycles = now * n_sms as u64;
+        self.stats.total_sm_cycles = now * self.sms.len() as u64;
         self.stats.thread_instrs = self.stats.warp_instrs * 32;
         self.stats
     }
@@ -717,19 +434,6 @@ mod tests {
         let spec = PatternSpec::new(PatternKind::GlobalSweep { passes }, footprint_lines)
             .compute_per_mem(1.5);
         Workload::new("t", 9, vec![Kernel::new("k", ctas, 256, spec)])
-    }
-
-    /// Runs `wl` on `cfg` serially and with `sim_threads` in {2, 4, 8}
-    /// and asserts bit-identical statistics — the tentpole's determinism
-    /// contract.
-    fn assert_thread_invariant(cfg: &GpuConfig, wl: &Workload) {
-        let serial = Simulator::new(cfg.clone(), wl).run();
-        for threads in [2u32, 4, 8] {
-            let mut c = cfg.clone();
-            c.sim_threads = threads;
-            let parallel = Simulator::new(c, wl).run();
-            serial.assert_deterministic_eq(&parallel);
-        }
     }
 
     #[test]
@@ -759,10 +463,15 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let wl = sweep_workload(20_000, 2, 48);
-        let a = Simulator::new(small_cfg(8), &wl).run();
-        let b = Simulator::new(small_cfg(8), &wl).run();
-        a.assert_deterministic_eq(&b);
+        // One memory partition at 8 SMs, eight at 64.
+        for (sms, wl) in [
+            (8, sweep_workload(20_000, 2, 48)),
+            (64, sweep_workload(60_000, 1, 256)),
+        ] {
+            let a = Simulator::new(small_cfg(sms), &wl).run();
+            let b = Simulator::new(small_cfg(sms), &wl).run();
+            a.assert_deterministic_eq(&b);
+        }
     }
 
     #[test]
@@ -900,14 +609,32 @@ mod tests {
     #[test]
     fn mcm_is_deterministic() {
         use crate::chiplet::ChipletConfig;
-        let spec = PatternSpec::new(PatternKind::PointerChase, 20_000)
+        let chase = PatternSpec::new(PatternKind::PointerChase, 20_000)
             .mem_ops_per_warp(10)
             .compute_per_mem(1.0);
-        let wl = Workload::new("m", 12, vec![Kernel::new("k", 512, 256, spec)]);
+        // Kernel boundaries mid-run exercise dispatch and first-touch
+        // placement across kernels.
+        let sweep = || {
+            PatternSpec::new(PatternKind::GlobalSweep { passes: 1 }, 30_000).compute_per_mem(1.0)
+        };
+        let workloads = [
+            Workload::new("m", 12, vec![Kernel::new("k", 512, 256, chase)]),
+            Workload::new(
+                "m-seq",
+                14,
+                vec![
+                    Kernel::new("k0", 384, 256, sweep()),
+                    Kernel::new("k1", 8, 256, sweep()),
+                    Kernel::new("k2", 384, 256, sweep()),
+                ],
+            ),
+        ];
         let mcm = ChipletConfig::paper_mcm(2, MemScale::default());
-        let a = Simulator::new_mcm(&mcm, &wl).run();
-        let b = Simulator::new_mcm(&mcm, &wl).run();
-        a.assert_deterministic_eq(&b);
+        for wl in &workloads {
+            let a = Simulator::new_mcm(&mcm, wl).run();
+            let b = Simulator::new_mcm(&mcm, wl).run();
+            a.assert_deterministic_eq(&b);
+        }
     }
 
     #[test]
@@ -954,209 +681,5 @@ mod tests {
         let stats = Simulator::new(small_cfg(8), &wl).run();
         assert_eq!(stats.kernels_executed, 2);
         assert_eq!(stats.ctas_executed, 96);
-    }
-
-    // ---- sim_threads determinism contract (DESIGN.md §10/§15) ----
-
-    #[test]
-    fn sim_threads_bit_identical_8sm() {
-        let wl = sweep_workload(20_000, 2, 48);
-        assert_thread_invariant(&small_cfg(8), &wl);
-    }
-
-    #[test]
-    fn sim_threads_bit_identical_8sm_pointer_chase() {
-        let spec = PatternSpec::new(PatternKind::PointerChase, 30_000)
-            .mem_ops_per_warp(16)
-            .compute_per_mem(1.0);
-        let wl = Workload::new("pc", 7, vec![Kernel::new("k", 64, 256, spec)]);
-        assert_thread_invariant(&small_cfg(8), &wl);
-    }
-
-    #[test]
-    fn sim_threads_bit_identical_64sm_memory_bound() {
-        let wl = sweep_workload(150_000, 1, 512);
-        assert_thread_invariant(&small_cfg(64), &wl);
-    }
-
-    #[test]
-    fn sim_threads_bit_identical_multi_kernel_boundaries() {
-        // Kernel boundaries mid-run exercise the dispatch/kernel-advance
-        // path of the serial route pass.
-        let spec = || PatternSpec::new(PatternKind::Streaming, 5_000).compute_per_mem(1.0);
-        let wl = Workload::new(
-            "seq",
-            3,
-            vec![
-                Kernel::new("big1", 96, 256, spec()),
-                Kernel::new("tiny", 4, 256, spec()),
-                Kernel::new("big2", 96, 256, spec()),
-            ],
-        );
-        assert_thread_invariant(&small_cfg(8), &wl);
-    }
-
-    #[test]
-    fn sim_threads_bit_identical_mcm() {
-        use crate::chiplet::ChipletConfig;
-        let spec = PatternSpec::new(PatternKind::PointerChase, 20_000)
-            .mem_ops_per_warp(10)
-            .compute_per_mem(1.0);
-        let wl = Workload::new("m", 12, vec![Kernel::new("k", 512, 256, spec)]);
-        let mcm = ChipletConfig::paper_mcm(2, MemScale::default());
-        let serial = Simulator::new_mcm(&mcm, &wl).run();
-        for threads in [2u32, 4, 8] {
-            let mut m = mcm.clone();
-            m.chiplet.sim_threads = threads;
-            let parallel = Simulator::new_mcm(&m, &wl).run();
-            serial.assert_deterministic_eq(&parallel);
-        }
-    }
-
-    #[test]
-    fn sim_threads_bit_identical_mcm_multi_kernel() {
-        use crate::chiplet::ChipletConfig;
-        let spec = || {
-            PatternSpec::new(PatternKind::GlobalSweep { passes: 1 }, 30_000).compute_per_mem(1.0)
-        };
-        let wl = Workload::new(
-            "m-seq",
-            14,
-            vec![
-                Kernel::new("k0", 384, 256, spec()),
-                Kernel::new("k1", 8, 256, spec()),
-                Kernel::new("k2", 384, 256, spec()),
-            ],
-        );
-        let mcm = ChipletConfig::paper_mcm(2, MemScale::default());
-        let serial = Simulator::new_mcm(&mcm, &wl).run();
-        for threads in [2u32, 4, 8] {
-            let mut m = mcm.clone();
-            m.chiplet.sim_threads = threads;
-            let parallel = Simulator::new_mcm(&m, &wl).run();
-            serial.assert_deterministic_eq(&parallel);
-        }
-    }
-
-    #[test]
-    fn sim_threads_beyond_sm_count_is_clamped() {
-        let wl = sweep_workload(10_000, 1, 24);
-        let serial = Simulator::new(small_cfg(8), &wl).run();
-        let mut c = small_cfg(8);
-        c.sim_threads = 64; // clamps to 8 execution contexts
-        let parallel = Simulator::new(c, &wl).run();
-        serial.assert_deterministic_eq(&parallel);
-    }
-
-    #[test]
-    fn sim_threads_zero_selects_serial_path() {
-        let wl = sweep_workload(5_000, 1, 16);
-        let serial = Simulator::new(small_cfg(8), &wl).run();
-        let mut c = small_cfg(8);
-        c.sim_threads = 0;
-        let zero = Simulator::new(c, &wl).run();
-        serial.assert_deterministic_eq(&zero);
-    }
-
-    #[test]
-    fn mem_shards_are_part_of_the_simulated_machine() {
-        // Different partition counts interleave lines differently, so
-        // they are different (but internally deterministic) machines;
-        // the 64-SM model has 8 MCs, so shard counts 1 vs 8 diverge.
-        let wl = sweep_workload(60_000, 1, 256);
-        let mut one = small_cfg(64);
-        one.mem_shards = 1;
-        let s1 = Simulator::new(one.clone(), &wl).run();
-        let s8 = Simulator::new(small_cfg(64), &wl).run();
-        assert_eq!(s1.warp_instrs, s8.warp_instrs);
-        assert_ne!(s1.cycles, s8.cycles, "partitioning must change timing");
-        // ... and each is still thread-invariant.
-        assert_thread_invariant(&one, &wl);
-    }
-
-    // ---- bounded-slack relaxed sync (DESIGN.md §15) ----
-
-    #[test]
-    fn sync_slack_zero_is_byte_identical_to_default() {
-        let wl = sweep_workload(20_000, 2, 48);
-        let base = Simulator::new(small_cfg(8), &wl).run();
-        let mut c = small_cfg(8);
-        c.sync_slack = 0;
-        c.sim_threads = 4;
-        let relaxed_off = Simulator::new(c, &wl).run();
-        base.assert_deterministic_eq(&relaxed_off);
-    }
-
-    #[test]
-    fn sync_slack_is_thread_count_invariant() {
-        // Relaxed mode is *still* deterministic for a fixed slack: the
-        // window structure does not depend on the host thread count.
-        let wl = sweep_workload(60_000, 2, 96);
-        for slack in [4u32, 16] {
-            let mut c = small_cfg(8);
-            c.sync_slack = slack;
-            let serial = Simulator::new(c.clone(), &wl).run();
-            for threads in [2u32, 4] {
-                let mut ct = c.clone();
-                ct.sim_threads = threads;
-                let parallel = Simulator::new(ct, &wl).run();
-                serial.assert_deterministic_eq(&parallel);
-            }
-        }
-    }
-
-    #[test]
-    fn sync_slack_error_stays_within_envelope() {
-        // The accuracy contract of DESIGN.md §15: predicted cycles under
-        // slack in {4, 16, 64} stay within 5% of the exact run, and all
-        // work is still executed.
-        let workloads = [
-            sweep_workload(60_000, 2, 96),
-            sweep_workload(1_500, 8, 48),
-            {
-                let spec = PatternSpec::new(PatternKind::PointerChase, 30_000)
-                    .mem_ops_per_warp(16)
-                    .compute_per_mem(1.0);
-                Workload::new("pc", 7, vec![Kernel::new("k", 64, 256, spec)])
-            },
-        ];
-        for wl in &workloads {
-            let exact = Simulator::new(small_cfg(8), wl).run();
-            for slack in [4u32, 16, 64] {
-                let mut c = small_cfg(8);
-                c.sync_slack = slack;
-                let relaxed = Simulator::new(c, wl).run();
-                assert_eq!(relaxed.warp_instrs, exact.warp_instrs);
-                assert_eq!(relaxed.ctas_executed, exact.ctas_executed);
-                assert_eq!(relaxed.kernels_executed, exact.kernels_executed);
-                let err = (relaxed.cycles as f64 - exact.cycles as f64).abs() / exact.cycles as f64;
-                assert!(
-                    err <= 0.05,
-                    "slack {slack} drifted {:.2}% on {} ({} vs {} cycles)",
-                    err * 100.0,
-                    wl.name(),
-                    relaxed.cycles,
-                    exact.cycles
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sync_slack_mcm_runs_to_completion() {
-        use crate::chiplet::ChipletConfig;
-        let spec = PatternSpec::new(PatternKind::PointerChase, 20_000)
-            .mem_ops_per_warp(10)
-            .compute_per_mem(1.0);
-        let wl = Workload::new("m", 12, vec![Kernel::new("k", 512, 256, spec)]);
-        let mut mcm = ChipletConfig::paper_mcm(2, MemScale::default());
-        let exact = Simulator::new_mcm(&mcm, &wl).run();
-        mcm.chiplet.sync_slack = 16;
-        mcm.chiplet.sim_threads = 4;
-        let relaxed = Simulator::new_mcm(&mcm, &wl).run();
-        assert_eq!(relaxed.warp_instrs, exact.warp_instrs);
-        assert_eq!(relaxed.ctas_executed, exact.ctas_executed);
-        let err = (relaxed.cycles as f64 - exact.cycles as f64).abs() / exact.cycles as f64;
-        assert!(err <= 0.05, "MCM slack drift {:.2}%", err * 100.0);
     }
 }

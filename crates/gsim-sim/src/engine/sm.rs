@@ -1,11 +1,10 @@
-//! Per-SM state and the parallel per-SM half of a cycle (phase A).
+//! Per-SM state and the per-SM half of a cycle (phase A).
 //!
 //! Everything in this module touches exactly one SM: the warp contexts,
-//! the GTO scheduler queues, the L1 tag store and the MSHR file. That is
-//! what makes phase A safe to run on worker threads — an SM's phase A
-//! reads and writes only its own [`Sm`], and records everything that
-//! needs the *shared* memory system in its [`LaneOut`] for the serial
-//! apply phase (DESIGN.md §10).
+//! the GTO scheduler queues, the L1 tag store and the MSHR file. An SM's
+//! phase A reads and writes only its own [`Sm`], and records everything
+//! that needs the *shared* memory system in its [`LaneOut`] for the
+//! engine's flush (DESIGN.md §10).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -16,23 +15,8 @@ use gsim_trace::{MemAccess, MemSpace, Op, WarpStream};
 use super::memsys::ReqKind;
 use crate::config::GpuConfig;
 
-/// The per-SM configuration slice phase A needs; `Copy` so worker threads
-/// can share one instance by reference.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct LaneParams {
-    pub l1_latency: u64,
-}
-
-impl LaneParams {
-    pub(super) fn from_cfg(cfg: &GpuConfig) -> Self {
-        Self {
-            l1_latency: u64::from(cfg.l1_latency),
-        }
-    }
-}
-
-/// How one staged line request must be applied to the shared memory
-/// system in phase B.
+/// How the flush sends one staged line request into the shared memory
+/// system.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum LineKind {
     /// A cached global load that missed the L1: request at `now + l1_lat`,
@@ -53,10 +37,11 @@ pub(super) struct LineReq {
 }
 
 /// The memory instruction (at most one per SM per cycle) staged by phase
-/// A for resolution in phase B.
+/// A for resolution in the flush.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct MemIssue {
-    /// The issuing warp; phase B re-queues it once its wake cycle is known.
+    /// The issuing warp; the flush re-queues it once its wake cycle is
+    /// known.
     pub warp: u32,
     /// Wake lower bound from per-SM effects alone (L1 hits, `now + 1`).
     pub base_wake: u64,
@@ -65,16 +50,14 @@ pub(super) struct MemIssue {
     pub blocks: bool,
 }
 
-/// Everything one SM's phase A hands to the serial phase B. Owned by the
-/// SM and reused across cycles so the steady state allocates nothing.
+/// Everything one SM's phase A hands to the flush. Owned by the SM and
+/// reused across cycles so the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub(super) struct LaneOut {
     /// Did this SM issue an instruction this cycle?
     pub issued: bool,
     /// Did this SM still hold live warps after its issue attempt?
     pub live: bool,
-    /// Warp instructions issued (0 or 1).
-    pub warp_instrs: u64,
     /// L1 lookups performed.
     pub l1_accesses: u64,
     /// L1 misses taken.
@@ -91,7 +74,6 @@ impl LaneOut {
     fn reset(&mut self) {
         self.issued = false;
         self.live = false;
-        self.warp_instrs = 0;
         self.l1_accesses = 0;
         self.l1_misses = 0;
         self.completed_ctas = 0;
@@ -127,7 +109,7 @@ pub(super) struct Sm<S> {
     pub cta_remaining: HashMap<u32, u32>,
     pub live_warps: u32,
     pub chiplet: u32,
-    /// Phase A -> phase B handoff for the current cycle.
+    /// Phase A -> flush handoff for the current cycle.
     pub out: LaneOut,
 }
 
@@ -185,7 +167,7 @@ impl<S> Sm<S> {
 
     /// The per-SM half of warp retirement: releases the slot and the CTA
     /// bookkeeping this SM owns, and reports a completed CTA (if any) for
-    /// phase B to turn into dispatches and kernel advances.
+    /// the flush to turn into dispatches and kernel advances.
     fn retire_local(&mut self, warp: u32) {
         let ctx = self.warps[warp as usize]
             .take()
@@ -212,7 +194,7 @@ impl<S: WarpStream> Sm<S> {
     /// One SM's share of a cycle: drain due wake-ups, then try to issue
     /// one instruction. Touches only this SM; the staged result lands in
     /// `self.out`.
-    pub(super) fn phase_a(&mut self, now: u64, p: &LaneParams) {
+    pub(super) fn phase_a(&mut self, now: u64, l1_latency: u64) {
         self.out.reset();
         // Wake phase.
         while let Some(&Reverse((t, w))) = self.blocked.peek() {
@@ -234,7 +216,6 @@ impl<S: WarpStream> Sm<S> {
                     ctx.pending_compute -= 1;
                     self.last_issued = Some(warp);
                     self.greedy_stashed = true;
-                    self.out.warp_instrs += 1;
                     self.out.issued = true;
                     break;
                 }
@@ -255,14 +236,12 @@ impl<S: WarpStream> Sm<S> {
                     ctx.pending_compute = n - 1;
                     self.last_issued = Some(warp);
                     self.greedy_stashed = true;
-                    self.out.warp_instrs += 1;
                     self.out.issued = true;
                     break;
                 }
                 Some(op) => {
                     let access = *op.mem().expect("memory op");
-                    self.stage_mem(warp, now, &op, &access, p);
-                    self.out.warp_instrs += 1;
+                    self.stage_mem(warp, now, &op, &access, l1_latency);
                     self.last_issued = Some(warp);
                     self.out.issued = true;
                     break;
@@ -274,9 +253,9 @@ impl<S: WarpStream> Sm<S> {
 
     /// The per-SM part of issuing one memory op: L1 lookups and MSHR
     /// probes now; every line that needs the shared memory system is
-    /// staged for phase B. The issuing warp is re-queued by phase B once
-    /// its wake cycle is known.
-    fn stage_mem(&mut self, warp: u32, now: u64, op: &Op, access: &MemAccess, p: &LaneParams) {
+    /// staged for the flush, which re-queues the issuing warp once its
+    /// wake cycle is known.
+    fn stage_mem(&mut self, warp: u32, now: u64, op: &Op, access: &MemAccess, l1_latency: u64) {
         let kind = match op {
             Op::Load(_) => ReqKind::Load,
             Op::Store(_) => ReqKind::Store,
@@ -289,7 +268,7 @@ impl<S: WarpStream> Sm<S> {
                 (ReqKind::Load, MemSpace::Global) => {
                     // L1 lookup (write-through caches: loads only).
                     self.out.l1_accesses += 1;
-                    let t0 = now + p.l1_latency;
+                    let t0 = now + l1_latency;
                     if self.l1.access(line, false).is_hit() {
                         let ready = match self.mshr.pending_fill(line) {
                             Some(fill) if fill > now => fill,

@@ -165,8 +165,7 @@ fn cliff_detection_matches_definition() {
 }
 
 /// The simulator is deterministic: identical runs give identical
-/// statistics (modulo wall-clock time), and sharding the run over worker
-/// threads (`sim_threads`) changes nothing either.
+/// statistics (modulo wall-clock time).
 #[test]
 fn simulator_is_deterministic() {
     let mut rng = Rng64::seed_from_u64(0x5eed_0009);
@@ -180,68 +179,8 @@ fn simulator_is_deterministic() {
         let wl = Workload::new("prop", seed, vec![Kernel::new("k", ctas, 256, spec)]);
         let cfg = GpuConfig::paper_target(8, MemScale::new(32));
         let a = Simulator::new(cfg.clone(), &wl).run();
-        let b = Simulator::new(cfg.clone(), &wl).run();
+        let b = Simulator::new(cfg, &wl).run();
         a.assert_deterministic_eq(&b);
-        let mut sharded_cfg = cfg;
-        sharded_cfg.sim_threads = 3;
-        let c = Simulator::new(sharded_cfg, &wl).run();
-        a.assert_deterministic_eq(&c);
-    }
-}
-
-/// Randomized strong form of the sharded-engine determinism contract
-/// (DESIGN.md §15): over random machine shapes (SM count, memory
-/// partitions), random multi-kernel workloads and random access
-/// patterns, every worker-thread count produces statistics bit-identical
-/// to the serial engine, and a relaxed `sync_slack` window is invariant
-/// to the thread count that ran it. Much heavier than the fixed-config
-/// engine tests, so it runs only in the `ext-tests` soak tier.
-#[cfg(feature = "ext-tests")]
-#[test]
-fn sharded_engine_matches_serial_on_random_machines() {
-    let mut rng = Rng64::seed_from_u64(0x5eed_000b);
-    for _ in 0..cases(2) {
-        let seed = rng.gen_range(0, 1 << 20);
-        let sms = [8u32, 16, 32, 64][rng.gen_range(0, 4) as usize];
-        let shards = [1u32, 2, 4, 8][rng.gen_range(0, 4) as usize];
-        let kernels = (0..rng.gen_range(1, 4))
-            .map(|i| {
-                let kind = match rng.gen_range(0, 4) {
-                    0 => PatternKind::GlobalSweep {
-                        passes: rng.gen_range(1, 3) as u32,
-                    },
-                    1 => PatternKind::Streaming,
-                    2 => PatternKind::PointerChase,
-                    _ => PatternKind::WorkingSetMix {
-                        levels: vec![(1.0, 0.25), (1.0, f64_in(&mut rng, 0.5, 1.5))],
-                    },
-                };
-                let spec = PatternSpec::new(kind, rng.gen_range(1_000, 6_000))
-                    .mem_ops_per_warp(rng.gen_range(4, 24) as u32)
-                    .compute_per_mem(f64_in(&mut rng, 0.5, 4.0));
-                Kernel::new(format!("k{i}"), rng.gen_range(16, 128) as u32, 256, spec)
-            })
-            .collect();
-        let wl = Workload::new("rand", seed, kernels);
-        let mut cfg = GpuConfig::paper_target(sms, MemScale::new(32));
-        cfg.mem_shards = shards;
-        let serial = Simulator::new(cfg.clone(), &wl).run();
-        for threads in [2u32, 4, 8] {
-            let mut sharded = cfg.clone();
-            sharded.sim_threads = threads;
-            let st = Simulator::new(sharded, &wl).run();
-            serial.assert_deterministic_eq(&st);
-        }
-        // Relaxed mode keeps the weaker half of the contract: for a
-        // fixed slack the result is a deterministic function of the
-        // config and workload, never of the thread count that ran it.
-        let mut relaxed = cfg;
-        relaxed.sync_slack = [4u32, 16][rng.gen_range(0, 2) as usize];
-        relaxed.sim_threads = 2;
-        let r2 = Simulator::new(relaxed.clone(), &wl).run();
-        relaxed.sim_threads = 8;
-        let r8 = Simulator::new(relaxed, &wl).run();
-        r2.assert_deterministic_eq(&r8);
     }
 }
 
